@@ -178,18 +178,23 @@ impl MailSink for ZmailGateway {
                         .flight
                         .annotate(ctx, &format!("{} x{}", message.from(), recipients.len()));
                 }
-                // Compliant sender: run the ledger per recipient.
+                // Compliant sender: all or nothing. Check every paid leg
+                // before charging any, so a refusal bounces the whole
+                // message without a partial delivery.
+                if let Err(e) =
+                    state.isps[sender.isp as usize].check_can_pay(sender.user, &recipients)
+                {
+                    state.stats.bounced += 1;
+                    if let Some(ctx) = root {
+                        state.flight.annotate(ctx, "bounced");
+                        state.flight.end_with(ts, ctx, SpanStatus::Dropped);
+                    }
+                    return Err(e.to_string().into());
+                }
                 for &to in &recipients {
                     let outcome = state.isps[sender.isp as usize]
                         .send_email(sender.user, to, MailKind::Personal)
-                        .map_err(|e| {
-                            state.stats.bounced += 1;
-                            if let Some(ctx) = root {
-                                state.flight.annotate(ctx, "bounced");
-                                state.flight.end_with(ts, ctx, SpanStatus::Dropped);
-                            }
-                            e.to_string()
-                        })?;
+                        .expect("every paid leg was checked up front");
                     // The backbone delivers inter-ISP mail instantly.
                     if let SendOutcome::Outbound {
                         to: dest,
@@ -343,6 +348,44 @@ mod tests {
         assert_eq!(reply.code, zmail_smtp::ReplyCode::ExceededAllocation);
         assert!(reply.text.contains("balance"));
         assert_eq!(gw.stats().bounced, 1);
+    }
+
+    #[test]
+    fn multi_recipient_bounce_charges_and_delivers_nothing() {
+        // One e-penny, two paid recipients: the whole message bounces and
+        // recipient 1 must not keep a copy the sender never paid for.
+        let gw = ZmailGateway::new(
+            ZmailConfig::builder(2, 2)
+                .initial_balance(EPennies::ONE)
+                .build(),
+            34,
+        );
+        let mut server = zmail_smtp::ThreadedServer::start(
+            "zmail.example",
+            gw.clone(),
+            zmail_smtp::ThreadedConfig::default(),
+        )
+        .unwrap();
+        let alice = UserAddr::new(0, 0);
+        let (bob, carol) = (UserAddr::new(1, 0), UserAddr::new(1, 1));
+        let msg = MailMessage::builder(ZmailGateway::address(alice), ZmailGateway::address(bob))
+            .also_to(ZmailGateway::address(carol))
+            .body("two legs, one penny\r\n")
+            .build();
+        let conn = zmail_smtp::TcpConnection::connect(server.addr()).unwrap();
+        let mut client = Client::connect(conn, "client.example").unwrap();
+        let err = client.send(&msg).unwrap_err();
+        client.quit().unwrap();
+        server.stop();
+        let zmail_smtp::SmtpError::UnexpectedReply(reply) = err else {
+            panic!("expected a 552 reply, got {err:?}");
+        };
+        assert_eq!(reply.code, zmail_smtp::ReplyCode::ExceededAllocation);
+        assert_eq!(gw.balance(alice), EPennies::ONE);
+        assert!(gw.inbox(bob).is_empty());
+        assert!(gw.inbox(carol).is_empty());
+        assert_eq!(gw.stats().bounced, 1);
+        assert_eq!(gw.stats().delivered_paid, 0);
     }
 
     #[test]

@@ -596,18 +596,49 @@ impl Isp {
         }
     }
 
-    fn charge_sender(&mut self, sender: u32) -> Result<(), SendError> {
-        let user = &mut self.users[sender as usize];
-        if user.balance < EPennies::ONE {
+    /// Checks, without charging, that `sender` can pay for every leg of a
+    /// multi-recipient send: the balance covers each paid leg and the daily
+    /// limit has room for all of them. Call it before a loop of
+    /// [`Isp::send_email`] to make the whole message all-or-nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SendError`] that the first refused leg would have
+    /// raised, counted once in the bounce statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is out of range.
+    pub fn check_can_pay(&mut self, sender: u32, to: &[UserAddr]) -> Result<(), SendError> {
+        if !self.cansend {
+            return Ok(()); // buffered sends are charged when they drain
+        }
+        let paid_legs = to
+            .iter()
+            .filter(|r| r.isp == self.id.0 || self.compliant[IspId(r.isp).index()])
+            .count();
+        self.guard_sender(sender, u32::try_from(paid_legs).unwrap_or(u32::MAX))
+    }
+
+    /// The §4.1 guards for `legs` paid sends by `sender`.
+    fn guard_sender(&mut self, sender: u32, legs: u32) -> Result<(), SendError> {
+        let user = &self.users[sender as usize];
+        if user.balance < EPennies(i64::from(legs)) {
             self.stats.bounced_balance += 1;
             CoreMetrics::get().reject_balance.inc();
             return Err(SendError::InsufficientBalance);
         }
-        if user.sent_today >= user.limit {
+        if u64::from(user.sent_today) + u64::from(legs) > u64::from(user.limit) {
             self.stats.bounced_limit += 1;
             CoreMetrics::get().reject_limit.inc();
             return Err(SendError::DailyLimitExceeded);
         }
+        Ok(())
+    }
+
+    fn charge_sender(&mut self, sender: u32) -> Result<(), SendError> {
+        self.guard_sender(sender, 1)?;
+        let user = &mut self.users[sender as usize];
         user.balance -= EPennies::ONE;
         user.sent_today += 1;
         self.journal(LedgerRecord::Charge {

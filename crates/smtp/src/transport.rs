@@ -5,6 +5,10 @@
 //! a zero-cost loopback; [`TcpConnection`] and [`TcpMailServer`] run the
 //! same state machines over real sockets for the end-to-end deployability
 //! experiment (E11).
+//!
+//! [`TcpConnection`] buffers its writes and flushes them only before a
+//! blocking read and on drop, so each SMTP reply, and each whole `DATA`
+//! payload, leaves in one write.
 
 use crate::server::{MailSink, SmtpServer};
 use bytes::{Buf, BytesMut};
@@ -178,23 +182,31 @@ pub fn bind_loopback(attempts: u32) -> io::Result<TcpListener> {
 }
 
 /// A line-framed connection over a real TCP stream.
+///
+/// Writes are buffered: [`Connection::send_line`] only appends to an
+/// output buffer, which goes to the socket in one `write_all` right before
+/// [`Connection::recv_line`] blocks on a read, and on drop (so a server's
+/// closing `221` still leaves). Lines already received are handed out
+/// without flushing, so a pipelined batch of commands gets its replies
+/// back in one write. `TCP_NODELAY` stays on: every flush is a whole reply
+/// or a whole payload that the peer is waiting for, so holding it back for
+/// Nagle's algorithm would only add a delayed-ACK round trip.
 #[derive(Debug)]
 pub struct TcpConnection {
     stream: TcpStream,
     buffer: BytesMut,
+    out: Vec<u8>,
 }
 
 impl TcpConnection {
-    /// Wraps an accepted or connected stream.
-    ///
-    /// Disables Nagle's algorithm: SMTP is a lockstep request/reply
-    /// protocol of small lines, the worst case for delayed-ACK
-    /// interaction.
+    /// Wraps an accepted or connected stream and disables Nagle's
+    /// algorithm (see the type docs).
     pub fn new(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
         TcpConnection {
             stream,
             buffer: BytesMut::with_capacity(8 * 1024),
+            out: Vec::with_capacity(1024),
         }
     }
 
@@ -214,12 +226,19 @@ impl TcpConnection {
         self.buffer.advance(pos + 2);
         Some(line)
     }
+
+    /// Writes every buffered outgoing line in one `write_all`.
+    fn flush_out(&mut self) -> io::Result<()> {
+        self.stream.write_all(&self.out)?; // no syscall when empty
+        self.out.clear();
+        Ok(())
+    }
 }
 
 impl Connection for TcpConnection {
     fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\r\n")?;
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.extend_from_slice(b"\r\n");
         Ok(())
     }
 
@@ -228,6 +247,7 @@ impl Connection for TcpConnection {
             if let Some(line) = self.take_buffered_line() {
                 return Ok(Some(line));
             }
+            self.flush_out()?;
             let mut chunk = [0u8; 4096];
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
@@ -235,6 +255,12 @@ impl Connection for TcpConnection {
             }
             self.buffer.extend_from_slice(&chunk[..n]);
         }
+    }
+}
+
+impl Drop for TcpConnection {
+    fn drop(&mut self) {
+        let _ = self.flush_out();
     }
 }
 

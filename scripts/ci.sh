@@ -95,4 +95,7 @@ grep -q "load\." crates/obs/README.md
 grep -q "server\.accept\." crates/obs/README.md
 grep -q "^| E21 " EXPERIMENTS.md
 
+echo "== benchmark self-check (metric names and units, attempted/failed, corrupted acked-seq gate)"
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --self-check | grep "^self-check"
+
 echo "CI: all green"
