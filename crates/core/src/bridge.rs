@@ -389,6 +389,45 @@ mod tests {
     }
 
     #[test]
+    fn partly_rejected_recipients_charge_and_deliver_nothing() {
+        // One valid recipient and one refused at RCPT: the pipelined DATA
+        // still gets 354 for the accepted one, and the client's abort must
+        // not turn into a paid, empty message to bob.
+        let gw = gateway();
+        let mut server = zmail_smtp::ThreadedServer::start(
+            "zmail.example",
+            gw.clone(),
+            zmail_smtp::ThreadedConfig::default(),
+        )
+        .unwrap();
+        let (alice, bob) = (UserAddr::new(0, 0), UserAddr::new(1, 0));
+        let before = gw.balance(alice);
+        let msg = MailMessage::builder(ZmailGateway::address(alice), ZmailGateway::address(bob))
+            .also_to("u99@isp9.example")
+            .body("one good leg, one bad\r\n")
+            .build();
+        let conn = zmail_smtp::TcpConnection::connect(server.addr()).unwrap();
+        let mut client = Client::connect(conn, "client.example").unwrap();
+        let err = client.send(&msg).unwrap_err();
+        let zmail_smtp::SmtpError::UnexpectedReply(reply) = err else {
+            panic!("expected a 550 reply, got {err:?}");
+        };
+        assert_eq!(reply.code, zmail_smtp::ReplyCode::MailboxUnavailable);
+        assert_eq!(gw.balance(alice), before);
+        assert!(gw.inbox(bob).is_empty());
+        assert_eq!(gw.stats().delivered_paid, 0);
+        // The session survives for the next, valid submission.
+        let ok = MailMessage::builder(ZmailGateway::address(alice), ZmailGateway::address(bob))
+            .body("just bob\r\n")
+            .build();
+        client.send(&ok).unwrap();
+        client.quit().unwrap();
+        server.stop();
+        assert_eq!(gw.inbox(bob).len(), 1);
+        assert_eq!(gw.stats().delivered_paid, 1);
+    }
+
+    #[test]
     fn foreign_sender_is_unpaid_but_delivered() {
         let gw = gateway();
         let bob = UserAddr::new(0, 1);

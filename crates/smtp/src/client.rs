@@ -5,10 +5,10 @@ use crate::reply::{Reply, ReplyCode};
 use crate::transport::Connection;
 use crate::SmtpError;
 
-/// An SMTP client session.
+/// An SMTP client session that pipelines every submission (RFC 2920).
 ///
 /// Created with [`Client::connect`], which consumes the server greeting and
-/// performs the `HELO` exchange; [`Client::send`] then submits messages and
+/// performs the `EHLO` exchange; [`Client::send`] then submits messages and
 /// [`Client::quit`] closes the session politely.
 #[derive(Debug)]
 pub struct Client<C> {
@@ -16,39 +16,76 @@ pub struct Client<C> {
 }
 
 impl<C: Connection> Client<C> {
-    /// Opens a session: reads the `220` greeting and sends `HELO domain`.
+    /// Opens a session: reads the `220` greeting, sends `EHLO domain` and
+    /// reads the whole multi-line reply, which must advertise
+    /// `PIPELINING`.
     ///
     /// # Errors
     ///
     /// Returns [`SmtpError::UnexpectedReply`] if the server does not greet
-    /// with `220` or refuses the `HELO`, and transport errors as-is.
+    /// with `220`, refuses the `EHLO`, or does not offer `PIPELINING`, and
+    /// transport errors as-is.
     pub fn connect(mut conn: C, domain: &str) -> Result<Self, SmtpError> {
         let greeting = recv_reply(&mut conn)?;
         if greeting.code != ReplyCode::ServiceReady {
             return Err(SmtpError::UnexpectedReply(greeting));
         }
-        let mut client = Client { conn };
-        client.command(&format!("HELO {domain}"), ReplyCode::Ok)?;
-        Ok(client)
+        conn.send_line(&format!("EHLO {domain}"))?;
+        let ehlo = recv_reply(&mut conn)?;
+        // The first line greets; each later line names one extension.
+        let pipelining = ehlo.text.lines().skip(1).any(|extension| {
+            extension
+                .split_whitespace()
+                .next()
+                .is_some_and(|keyword| keyword.eq_ignore_ascii_case("PIPELINING"))
+        });
+        if ehlo.code != ReplyCode::Ok || !pipelining {
+            return Err(SmtpError::UnexpectedReply(ehlo));
+        }
+        Ok(Client { conn })
     }
 
-    /// Submits one message.
+    /// Submits one message in two round trips: `MAIL`, every `RCPT` and
+    /// `DATA` go out as one group and their replies are read together;
+    /// after `354` the payload goes out and the final reply is read.
     ///
     /// # Errors
     ///
-    /// Returns [`SmtpError::UnexpectedReply`] at the first non-positive
+    /// Returns [`SmtpError::UnexpectedReply`] with the first non-positive
     /// response (e.g. a `552` bounce from a Zmail balance check) and
-    /// transport errors as-is. On a recipient rejection the transaction is
-    /// reset before returning so the session stays usable.
+    /// transport errors as-is. Delivery is all or nothing: when `MAIL` or
+    /// any `RCPT` is refused, a `DATA` the server accepted anyway gets a
+    /// lone `.` (an empty payload, which the server refuses), and the
+    /// transaction is reset before returning so the session stays usable.
     pub fn send(&mut self, message: &MailMessage) -> Result<(), SmtpError> {
-        self.command(&format!("MAIL FROM:<{}>", message.from()), ReplyCode::Ok)?;
+        self.conn
+            .send_line(&format!("MAIL FROM:<{}>", message.from()))?;
         for recipient in message.recipients() {
-            if let Err(e) = self.command(&format!("RCPT TO:<{recipient}>"), ReplyCode::Ok) {
-                let _ = self.command("RSET", ReplyCode::Ok);
-                return Err(e);
+            self.conn.send_line(&format!("RCPT TO:<{recipient}>"))?;
+        }
+        self.conn.send_line("DATA")?;
+        let mut refused = None;
+        for _ in 0..=message.recipients().len() {
+            let reply = self.recv_group_reply()?;
+            if reply.code != ReplyCode::Ok && refused.is_none() {
+                refused = Some(reply);
             }
         }
-        self.command("DATA", ReplyCode::StartMailInput)?;
+        let data_reply = self.recv_group_reply()?;
+        if let Some(refused) = refused {
+            let abort_data = data_reply.code == ReplyCode::StartMailInput;
+            if abort_data {
+                self.conn.send_line(".")?;
+            }
+            self.conn.send_line("RSET")?;
+            for _ in 0..=usize::from(abort_data) {
+                recv_reply(&mut self.conn)?;
+            }
+            return Err(SmtpError::UnexpectedReply(refused));
+        }
+        if data_reply.code != ReplyCode::StartMailInput {
+            return Err(SmtpError::UnexpectedReply(data_reply));
+        }
         let data = message.to_data();
         // `to_data` ends with ".\r\n"; send line by line.
         for line in data.split_inclusive("\r\n") {
@@ -72,22 +109,38 @@ impl<C: Connection> Client<C> {
         Ok(())
     }
 
-    /// Sends one command line and expects a specific positive reply.
-    fn command(&mut self, line: &str, expect: ReplyCode) -> Result<Reply, SmtpError> {
-        self.conn.send_line(line)?;
+    /// Reads the next reply of a pipelined group. The server closes the
+    /// session after a `421` (e.g. an idle timeout), so that reply is
+    /// returned at once instead of waiting for replies that never come.
+    fn recv_group_reply(&mut self) -> Result<Reply, SmtpError> {
         let reply = recv_reply(&mut self.conn)?;
-        if reply.code != expect {
+        if reply.code == ReplyCode::ServiceNotAvailable {
             return Err(SmtpError::UnexpectedReply(reply));
         }
         Ok(reply)
     }
 }
 
+/// Reads one whole reply. A line whose fourth byte is `-` continues the
+/// reply (`250-first`, …, `250 last`); the lines' texts are joined with
+/// `\n`, and every line must carry the same code.
 fn recv_reply<C: Connection>(conn: &mut C) -> Result<Reply, SmtpError> {
-    match conn.recv_line()? {
-        Some(line) => Reply::parse(&line),
-        None => Err(SmtpError::ConnectionClosed),
+    let mut line = recv_line(conn)?;
+    let mut reply = Reply::parse(&line)?;
+    while line.as_bytes().get(3) == Some(&b'-') {
+        line = recv_line(conn)?;
+        let more = Reply::parse(&line)?;
+        if more.code != reply.code {
+            return Err(SmtpError::Syntax(line));
+        }
+        reply.text.push('\n');
+        reply.text.push_str(&more.text);
     }
+    Ok(reply)
+}
+
+fn recv_line<C: Connection>(conn: &mut C) -> Result<String, SmtpError> {
+    conn.recv_line()?.ok_or(SmtpError::ConnectionClosed)
 }
 
 #[cfg(test)]

@@ -1,4 +1,6 @@
-//! RFC 821 command grammar: the subset Zmail deployment needs.
+//! RFC 821 command grammar: the subset Zmail deployment needs, plus the
+//! `EHLO` greeting that announces the one extension used (RFC 2920
+//! PIPELINING).
 
 use crate::SmtpError;
 use std::fmt;
@@ -8,6 +10,9 @@ use std::fmt;
 pub enum Command {
     /// `HELO <domain>` — identify the sending host.
     Helo(String),
+    /// `EHLO <domain>` — identify the sending host and ask for the
+    /// server's extensions.
+    Ehlo(String),
     /// `MAIL FROM:<reverse-path>` — start a transaction.
     MailFrom(String),
     /// `RCPT TO:<forward-path>` — add a recipient.
@@ -38,12 +43,17 @@ impl Command {
         let upper = trimmed.to_ascii_uppercase();
         let syntax = || SmtpError::Syntax(trimmed.to_string());
 
-        if let Some(rest) = upper.strip_prefix("HELO") {
-            let arg = trimmed[trimmed.len() - rest.len()..].trim();
-            if arg.is_empty() {
+        if let Some(verb @ ("HELO" | "EHLO")) = upper.get(..4) {
+            let domain = trimmed[4..].trim();
+            if domain.is_empty() {
                 return Err(syntax());
             }
-            return Ok(Command::Helo(arg.to_string()));
+            let domain = domain.to_string();
+            return Ok(if verb == "HELO" {
+                Command::Helo(domain)
+            } else {
+                Command::Ehlo(domain)
+            });
         }
         if upper.starts_with("MAIL FROM:") {
             let path = parse_path(&trimmed["MAIL FROM:".len()..]).ok_or_else(syntax)?;
@@ -77,6 +87,7 @@ impl Command {
     pub fn verb(&self) -> &'static str {
         match self {
             Command::Helo(_) => "HELO",
+            Command::Ehlo(_) => "EHLO",
             Command::MailFrom(_) => "MAIL",
             Command::RcptTo(_) => "RCPT",
             Command::Data => "DATA",
@@ -115,6 +126,7 @@ impl fmt::Display for Command {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Command::Helo(domain) => write!(f, "HELO {domain}"),
+            Command::Ehlo(domain) => write!(f, "EHLO {domain}"),
             Command::MailFrom(path) => write!(f, "MAIL FROM:<{path}>"),
             Command::RcptTo(path) => write!(f, "RCPT TO:<{path}>"),
             Command::Data => write!(f, "DATA"),
@@ -136,6 +148,7 @@ mod tests {
             Command::parse("HELO relay.example.org").unwrap(),
             Command::Helo("relay.example.org".into())
         );
+        assert_eq!(Command::parse("EHLO x").unwrap(), Command::Ehlo("x".into()));
         assert_eq!(
             Command::parse("MAIL FROM:<alice@a.example>").unwrap(),
             Command::MailFrom("alice@a.example".into())
@@ -188,11 +201,11 @@ mod tests {
     fn malformed_lines_rejected() {
         for bad in [
             "",
-            "EHLO x", // extended SMTP not in the RFC 821 subset
             "MAIL FROM:",
             "MAIL FROM:<unclosed",
             "RCPT TO:<a b>",
             "HELO",
+            "EHLO",
             "SEND FROM:<x>",
             "VRFY",
         ] {
@@ -209,6 +222,7 @@ mod tests {
     fn display_roundtrips_through_parse() {
         let commands = [
             Command::Helo("h.example".into()),
+            Command::Ehlo("h.example".into()),
             Command::MailFrom("a@b.c".into()),
             Command::RcptTo("d@e.f".into()),
             Command::Data,

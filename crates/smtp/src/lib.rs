@@ -1,4 +1,5 @@
-//! A minimal RFC 821 SMTP substrate, plus the Zmail-over-SMTP mapping.
+//! A minimal RFC 821 SMTP substrate with one extension (RFC 2920
+//! PIPELINING, announced through `EHLO`), plus the Zmail-over-SMTP mapping.
 //!
 //! §1.3 of the Zmail paper: *"Zmail can be implemented on top of the current
 //! Internet email protocol SMTP … Zmail requires no change to SMTP."* This
@@ -9,7 +10,8 @@
 //!   framing;
 //! * [`server`] — a transport-agnostic session state machine delivering to
 //!   a [`MailSink`];
-//! * [`client`] — a client that drives any [`Connection`] to submit mail;
+//! * [`client`] — a client that drives any [`Connection`] to submit mail,
+//!   pipelining `MAIL`/`RCPT`/`DATA` so a message takes two round trips;
 //! * [`transport`] — an in-memory loopback connection for tests and
 //!   simulations, and a real TCP transport (`std::net`) for the end-to-end
 //!   benchmark (experiment E11);

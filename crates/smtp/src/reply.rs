@@ -88,7 +88,8 @@ impl ReplyCode {
 pub struct Reply {
     /// The reply code.
     pub code: ReplyCode,
-    /// The text after the code.
+    /// The text after the code. A multi-line reply read by
+    /// [`Client`](crate::Client) joins its lines' texts with `\n`.
     pub text: String,
 }
 

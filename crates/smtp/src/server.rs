@@ -6,6 +6,14 @@
 //! per-recipient acceptance — which is where a Zmail-compliant ISP hooks in
 //! its e-penny balance and daily-limit checks without any change to the
 //! protocol grammar itself.
+//!
+//! The server answers `EHLO` by advertising RFC 2920 PIPELINING, the one
+//! extension it speaks. Commands are handled one line at a time whether
+//! they arrive singly or in a batch, so a pipelined `MAIL`/`RCPT`/`DATA`
+//! group needs nothing special. A zero-byte `DATA` payload (a lone `.`)
+//! is refused with `552` and never reaches the sink: it is how a
+//! pipelining client aborts a transaction whose `DATA` was accepted after
+//! a recipient was rejected.
 
 use crate::command::Command;
 use crate::message::MailMessage;
@@ -152,7 +160,7 @@ impl MailSink for CollectSink {
 /// Session state names, used in `503` diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    /// Connected, awaiting HELO.
+    /// Connected, awaiting HELO or EHLO.
     Start,
     /// Greeted, no transaction open.
     Idle,
@@ -259,11 +267,17 @@ impl<S: MailSink> SmtpServer<S> {
                     }
                     Reply::new(ReplyCode::Ok, "reset")
                 }
-                (Command::Helo(_domain), _) => {
+                (Command::Helo(_) | Command::Ehlo(_), _) => {
                     sender.clear();
                     recipients.clear();
                     state = State::Idle;
-                    Reply::new(ReplyCode::Ok, format!("{} hello", self.hostname))
+                    let hello = format!("{} hello", self.hostname);
+                    if matches!(command, Command::Ehlo(_)) {
+                        conn.send_line(&format!("{}-{hello}", ReplyCode::Ok.code()))?;
+                        Reply::new(ReplyCode::Ok, "PIPELINING")
+                    } else {
+                        Reply::new(ReplyCode::Ok, hello)
+                    }
                 }
                 (Command::MailFrom(path), State::Idle) => {
                     sender = path.clone();
@@ -288,7 +302,9 @@ impl<S: MailSink> SmtpServer<S> {
                     let payload = read_data(&mut conn)?;
                     let payload_bytes = payload.len();
                     let too_large = self.max_data_bytes.is_some_and(|cap| payload.len() > cap);
-                    let outcome = if too_large {
+                    let outcome = if payload.is_empty() {
+                        Err(SinkError::reject("empty message, transaction aborted"))
+                    } else if too_large {
                         Err(SinkError::reject("message exceeds size limit"))
                     } else {
                         MailMessage::from_data(
@@ -407,6 +423,40 @@ mod tests {
         assert_eq!(messages[0].recipients(), ["bob@b"]);
         assert_eq!(messages[0].header("Subject"), Some("hello"));
         assert_eq!(messages[0].body(), "body line\r\n");
+    }
+
+    #[test]
+    fn ehlo_advertises_pipelining_in_a_multi_line_reply() {
+        let (mut client, t) = crate::testutil::spawn_server(CollectSink::shared());
+        client.recv_line().unwrap(); // greeting
+        client.send_line("EHLO c").unwrap();
+        assert_eq!(client.recv_line().unwrap().unwrap(), "250-mx.test hello");
+        assert_eq!(client.recv_line().unwrap().unwrap(), "250 PIPELINING");
+        // EHLO opens the session just as HELO does.
+        client.send_line("MAIL FROM:<a@x>").unwrap();
+        assert!(client.recv_line().unwrap().unwrap().starts_with("250"));
+        client.send_line("QUIT").unwrap();
+        client.recv_line().unwrap();
+        drop(client);
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn empty_payload_is_refused_without_reaching_the_sink() {
+        // A lone dot is how a pipelining client aborts a transaction
+        // whose DATA was accepted after one of its recipients was refused.
+        let (replies, sink) = run_script(&[
+            "HELO c",
+            "MAIL FROM:<a@x>",
+            "RCPT TO:<b@y>",
+            "DATA",
+            ".",
+            "RSET",
+            "QUIT",
+        ]);
+        assert!(replies[5].starts_with("552"), "{replies:?}");
+        assert!(replies[6].starts_with("250"), "{replies:?}");
+        assert!(sink.is_empty());
     }
 
     #[test]

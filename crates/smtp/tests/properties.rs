@@ -39,7 +39,7 @@ proptest! {
     /// produces) parses or errors, never panics — including strings that
     /// start like real verbs.
     #[test]
-    fn parsers_survive_printable_noise(prefix in "(HELO|MAIL FROM:|RCPT TO:|DATA|250|)", junk in "[ -~]{0,80}") {
+    fn parsers_survive_printable_noise(prefix in "(HELO|EHLO|MAIL FROM:|RCPT TO:|DATA|250|)", junk in "[ -~]{0,80}") {
         let line = format!("{prefix}{junk}");
         let _ = Command::parse(&line);
         let _ = Reply::parse(&line);
@@ -49,7 +49,7 @@ proptest! {
     /// re-render is byte-identical (parse∘render idempotent).
     #[test]
     fn command_render_parse_is_identity(
-        pick in 0u8..8,
+        pick in 0u8..9,
         domain in "[a-zA-Z0-9.-]{1,16}",
         path in "[a-zA-Z0-9@._+-]{0,16}",
         arg in "[a-zA-Z0-9@.]{1,16}",
@@ -62,6 +62,7 @@ proptest! {
             4 => Command::Rset,
             5 => Command::Noop,
             6 => Command::Quit,
+            7 => Command::Ehlo(domain),
             _ => Command::Vrfy(arg.clone()),
         };
         let wire = cmd.to_string();
@@ -83,9 +84,10 @@ proptest! {
 
     /// CRLF termination is always stripped before parsing.
     #[test]
-    fn crlf_suffix_never_changes_the_parse(pick in 0u8..2, arg in "[a-zA-Z0-9.]{1,12}") {
+    fn crlf_suffix_never_changes_the_parse(pick in 0u8..3, arg in "[a-zA-Z0-9.]{1,12}") {
         let line = match pick {
             0 => format!("HELO {arg}"),
+            1 => format!("EHLO {arg}"),
             _ => format!("250 {arg}"),
         };
         let terminated = format!("{line}\r\n");

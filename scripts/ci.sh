@@ -40,6 +40,10 @@ echo "== property suites (crypto envelopes/nonces, SMTP grammar)"
 cargo test -q --release -p zmail-crypto --test properties
 cargo test -q --release -p zmail-smtp --test properties
 
+echo "== SMTP pipelining (RFC 2920 client contract against scripted peers)"
+cargo test -q --release -p zmail-smtp --test pipelining
+grep -q "PIPELINING" crates/smtp/README.md
+
 echo "== durability (recovery round-trips, storage faults, E16 smoke)"
 cargo test -q --release -p zmail-store --test recovery_properties
 cargo test -q --release -p zmail-fault --test storage_faults
