@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks for the `zmail-obs` overhead claims: what
-//! one counter increment, one histogram record, and one disabled-registry
-//! no-op actually cost on the E11 hot path.
+//! one counter increment, one histogram record, one zero-duration
+//! flight-recorder span, and one disabled-registry no-op actually cost
+//! on the E11 hot path.
 //!
 //! The numbers these produce are quoted in `crates/obs/README.md`; rerun
 //! with `cargo bench -p zmail-bench --bench obs` after touching the
 //! recording paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use zmail_obs::{Registry, Tracer};
+use zmail_obs::{FlightRecorder, Registry};
 
 fn bench_obs(c: &mut Criterion) {
     let enabled = Registry::new();
@@ -48,20 +49,26 @@ fn bench_obs(c: &mut Criterion) {
         });
     });
 
-    let tracer_on = Tracer::new(4096);
-    let tracer_off = Tracer::disabled(4096);
-    c.bench_function("trace_event_enabled", |b| {
+    // One simulator event as `SimTelemetry` records it: a root span that
+    // begins and ends at the same sim-clock stamp.
+    let recorder_on = FlightRecorder::new(4096);
+    let recorder_off = FlightRecorder::disabled(4096);
+    c.bench_function("zero_span_enabled", |b| {
         let mut ts = 0u64;
         b.iter(|| {
             ts += 1;
-            tracer_on.event(ts, "bench", String::new());
+            if let Some(ctx) = recorder_on.begin_trace(ts, "bench", "sim", "") {
+                recorder_on.end(ts, ctx);
+            }
         });
     });
-    c.bench_function("trace_event_disabled", |b| {
+    c.bench_function("zero_span_disabled", |b| {
         let mut ts = 0u64;
         b.iter(|| {
             ts += 1;
-            tracer_off.event(ts, "bench", String::new());
+            if let Some(ctx) = recorder_off.begin_trace(ts, "bench", "sim", "") {
+                recorder_off.end(ts, ctx);
+            }
         });
     });
 

@@ -4,7 +4,9 @@
 //! protocol SMTP. Zmail requires no change to SMTP … Normal users will
 //! hardly find any difference." We measure real submissions over loopback
 //! TCP with and without the Zmail ledger in the path, plus the wire
-//! overhead of the `X-Zmail-*` headers.
+//! overhead of the `X-Zmail-*` headers. Both servers are
+//! [`ThreadedServer`]s with default config, the same front door
+//! `e21_open_loop` drives.
 //!
 //! This is a **closed-loop** measurement: the client waits for every
 //! reply, so the offered rate equals the achieved rate by construction
@@ -17,7 +19,9 @@ use zmail_bench::{fmt, pct, Report};
 use zmail_core::bridge::ZmailGateway;
 use zmail_core::{UserAddr, ZmailConfig};
 use zmail_sim::Table;
-use zmail_smtp::{Client, CollectSink, MailMessage, TcpConnection, TcpMailServer, ZmailHeaders};
+use zmail_smtp::{
+    Client, CollectSink, MailMessage, TcpConnection, ThreadedConfig, ThreadedServer, ZmailHeaders,
+};
 
 const MESSAGES: u32 = 2_000;
 
@@ -62,7 +66,8 @@ fn main() {
 
     // Plain SMTP: the same server and client with a collect-only sink.
     let sink = CollectSink::shared();
-    let mut plain_server = TcpMailServer::start("plain.example", sink.clone()).unwrap();
+    let mut plain_server =
+        ThreadedServer::start("plain.example", sink.clone(), ThreadedConfig::default()).unwrap();
     let plain_rate = submit_batch(
         plain_server.addr(),
         "u0@isp0.example".into(),
@@ -79,7 +84,8 @@ fn main() {
             .build(),
         3,
     );
-    let mut zmail_server = TcpMailServer::start("zmail.example", gateway.clone()).unwrap();
+    let mut zmail_server =
+        ThreadedServer::start("zmail.example", gateway.clone(), ThreadedConfig::default()).unwrap();
     let zmail_rate = submit_batch(
         zmail_server.addr(),
         ZmailGateway::address(UserAddr::new(0, 0)),

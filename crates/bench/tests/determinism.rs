@@ -4,7 +4,7 @@
 //!
 //! 1. traces recorded against the **simulation clock** are a pure
 //!    function of the workload — running the same trace twice yields
-//!    byte-identical exported trace logs, so traces can be diffed across
+//!    byte-identical exported span logs, so traces can be diffed across
 //!    runs and machines;
 //! 2. explorer **profiling never perturbs verification**: the
 //!    [`ExploreReport`](zmail_ap::ExploreReport) half of a profiled run
@@ -12,7 +12,7 @@
 
 use zmail_core::spec::{check_with, check_with_profiled, SpecParams, TimeoutMode};
 use zmail_core::{ZmailConfig, ZmailSystem};
-use zmail_obs::{export, Registry, Tracer};
+use zmail_obs::{export, FlightRecorder, Registry};
 use zmail_sim::{Sampler, SimDuration, SimTelemetry, TrafficConfig, TrafficGenerator};
 
 /// Runs one simulated day of two-ISP traffic with sim-clock tracing
@@ -27,16 +27,13 @@ fn traced_run(seed: u64) -> (String, zmail_obs::Snapshot) {
     let trace = TrafficGenerator::new(traffic).generate(&mut Sampler::new(seed));
 
     let registry = Registry::new();
-    let tracer = Tracer::new(1 << 16);
-    let handle = tracer.clone(); // shares the ring buffer
+    let recorder = FlightRecorder::new(1 << 16);
+    let handle = recorder.clone(); // shares the ring buffer
     let mut system = ZmailSystem::new(ZmailConfig::builder(2, 10).build(), 42);
-    system.attach_telemetry(SimTelemetry::with_tracer(&registry, tracer));
+    system.attach_telemetry(SimTelemetry::with_recorder(&registry, recorder));
     system.run_trace(&trace);
 
-    (
-        export::trace_json_lines(&handle.drain()),
-        registry.snapshot(),
-    )
+    (export::chrome_trace(&handle.drain()), registry.snapshot())
 }
 
 #[test]

@@ -472,7 +472,12 @@ mod tests {
     #[test]
     fn works_behind_real_tcp() {
         let gw = gateway();
-        let mut server = zmail_smtp::TcpMailServer::start("zmail.example", gw.clone()).unwrap();
+        let mut server = zmail_smtp::ThreadedServer::start(
+            "zmail.example",
+            gw.clone(),
+            zmail_smtp::ThreadedConfig::default(),
+        )
+        .unwrap();
         let conn = zmail_smtp::TcpConnection::connect(server.addr()).unwrap();
         let mut client = Client::connect(conn, "client.example").unwrap();
         let msg = MailMessage::builder(

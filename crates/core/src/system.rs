@@ -1659,8 +1659,10 @@ impl ZmailSystem {
 
     /// Attaches a telemetry sink to the underlying engine: events are
     /// counted and timed per type (`workload`, `deliver`, `day_end`, …)
-    /// and, if the sink carries a tracer, traced under the **sim clock**
-    /// so two runs of the same seed produce byte-identical trace streams.
+    /// and, if the sink carries a flight recorder, recorded as
+    /// zero-duration spans under the **sim clock**, so two runs of the
+    /// same seed produce byte-identical span logs. That recorder must not
+    /// be the one given to [`Self::attach_flight_recorder`].
     pub fn attach_telemetry(&mut self, telemetry: zmail_sim::SimTelemetry) {
         self.sim.attach_telemetry(telemetry);
     }

@@ -1,9 +1,9 @@
 //! Smoke binary for the observability substrate: exercises the metrics
-//! registry, the tracer, and all three exporters end-to-end, and fails
-//! loudly (non-zero exit) if any invariant is violated. Run by
+//! registry, the flight recorder, and all four exporters end-to-end, and
+//! fails loudly (non-zero exit) if any invariant is violated. Run by
 //! `scripts/ci.sh`.
 
-use zmail_obs::{export, Registry, Tracer};
+use zmail_obs::{attribute, export, FlightRecorder, Registry};
 
 fn main() {
     // --- metrics: counters, gauges, histograms across threads ---------
@@ -44,16 +44,25 @@ fn main() {
     assert_eq!(merged.counters["smoke.sends"], 200_000, "merge lost counts");
     assert_eq!(merged.histograms["smoke.latency_us"].count, 200_000);
 
-    // --- tracing: deterministic sim-clock stamps + wraparound ---------
-    let tracer = Tracer::new(8);
-    tracer.span_start(0, "smoke.run");
+    // --- tracing: deterministic sim-clock spans + wraparound ---------
+    let recorder = FlightRecorder::new(8);
+    let run = recorder
+        .begin_trace(0, "smoke.run", "smoke", "")
+        .expect("enabled recorder");
     for ms in 1..=20u64 {
-        tracer.event(ms, "smoke.tick", format!("i={ms}"));
+        let tick = recorder
+            .child(ms, run, "smoke.tick", "smoke", format!("i={ms}"))
+            .expect("parent still open");
+        recorder.end(ms, tick);
     }
-    tracer.span_end(21, "smoke.run");
-    let log = tracer.drain();
-    assert_eq!(log.events.len(), 8, "ring did not bound");
-    assert_eq!(log.dropped, 14, "drop accounting wrong");
+    recorder.end(21, run);
+    let log = recorder.drain();
+    assert_eq!(log.spans.len(), 8, "ring did not bound");
+    assert_eq!(log.dropped, 13, "drop accounting wrong");
+    log.validate().expect("wrapped log still well-formed");
+    let traced = Registry::new();
+    attribute(&log, &traced);
+    assert_eq!(traced.snapshot().counters["trace.dropped"], 13);
 
     // --- exporters ----------------------------------------------------
     let human = export::human(&snap);
@@ -78,13 +87,13 @@ fn main() {
         "prometheus +Inf bucket missing"
     );
 
-    let trace = export::trace_json_lines(&log);
+    let chrome = export::chrome_trace(&log);
     assert!(
-        trace.contains("\"type\":\"trace_summary\",\"events\":8,\"dropped\":14"),
-        "trace summary wrong"
+        chrome.contains("\"name\":\"ring overflowed, 13 spans lost\""),
+        "chrome trace overflow marker missing"
     );
 
-    println!("obs smoke: metrics + tracing + 3 exporters OK");
+    println!("obs smoke: metrics + tracing + 4 exporters OK");
     println!("--- human ---\n{human}");
     println!("--- json-lines ---\n{json}");
     println!("--- prometheus ---\n{prom}");

@@ -11,20 +11,16 @@
 //!   parallel explorer's inner loop. A disabled registry costs one
 //!   relaxed atomic load per site; [`Snapshot`]s are exact-equality
 //!   integer captures that merge associatively across worker threads.
-//! - **Tracing** ([`Tracer`]): spans and events in a bounded ring
-//!   buffer. Inside the simulation engine, events are stamped with the
-//!   sim clock, so traces are deterministic and byte-diffable across
-//!   runs; elsewhere a monotonic wall clock is used.
-//! - **Causal spans** ([`FlightRecorder`]): per-message lifecycle trees
-//!   — a [`TraceId`] minted at submission, parent/child [`SpanRecord`]s
-//!   for queue wait, bank round-trips, WAL group-commit, delivery, and
-//!   acks — with deterministic sequence ids, head-based `1/N` sampling,
-//!   and [`attribute`] folding finished traces into `trace.phase.*`
-//!   latency histograms.
+//! - **Tracing** ([`FlightRecorder`]): per-message lifecycle trees — a
+//!   [`TraceId`] minted at submission, parent/child [`SpanRecord`]s for
+//!   queue wait, bank round-trips, WAL group-commit, delivery, and acks
+//!   — in a bounded ring, with caller-supplied sim-clock timestamps,
+//!   deterministic sequence ids, head-based `1/N` sampling, and
+//!   [`attribute`] folding finished traces into `trace.phase.*`
+//!   latency histograms. A flat event is a root span of zero duration.
 //! - **Exporters** ([`export::human`], [`export::json_lines`],
-//!   [`export::prometheus`], [`export::trace_json_lines`],
-//!   [`export::chrome_trace`]): pure renderings of snapshots, trace
-//!   logs, and span logs. Identical snapshots render to identical
+//!   [`export::prometheus`], [`export::chrome_trace`]): pure renderings
+//!   of snapshots and span logs. Identical inputs render to identical
 //!   bytes.
 //!
 //! The crate is deliberately dependency-free: it sits below every other
@@ -59,7 +55,6 @@
 pub mod export;
 mod metrics;
 mod span;
-mod trace;
 
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, BUCKETS,
@@ -68,4 +63,3 @@ pub use span::{
     attribute, FlightRecorder, SpanCtx, SpanId, SpanLog, SpanRecord, SpanStatus, TraceId,
     TraceSummary,
 };
-pub use trace::{TraceEvent, TraceKind, TraceLog, Tracer};

@@ -1,13 +1,15 @@
 //! Causal span tracing: a deterministic flight recorder for message
 //! lifecycles.
 //!
-//! Where [`crate::Tracer`] records a flat stream of named events, this
-//! module records **trees**: a [`FlightRecorder`] mints a [`TraceId`] at
-//! message submission and tracks every hop of that message's life —
-//! queue wait, bank round-trip, WAL group-commit, delivery, ack — as
-//! parent/child [`SpanRecord`]s. Finished spans land in a bounded ring;
-//! [`SpanLog::validate`] checks the structural invariants (balance,
-//! nesting, bank-request links) that the proptests assert.
+//! This module is the crate's one tracing API. It records **trees**: a
+//! [`FlightRecorder`] mints a [`TraceId`] at message submission and
+//! tracks every hop of that message's life — queue wait, bank
+//! round-trip, WAL group-commit, delivery, ack — as parent/child
+//! [`SpanRecord`]s. A flat point event, such as one simulator event, is
+//! a root span that begins and ends at the same timestamp. Finished
+//! spans land in a bounded ring; [`SpanLog::validate`] checks the
+//! structural invariants (balance, nesting, bank-request links) that the
+//! proptests assert.
 //!
 //! Determinism is the design constraint everything else bends around:
 //!

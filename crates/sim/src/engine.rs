@@ -122,7 +122,8 @@ impl<W: World> Simulation<W> {
     }
 
     /// Attaches a telemetry sink; subsequent events are counted, timed,
-    /// and (if the sink carries a tracer) traced under the sim clock.
+    /// and (if the sink carries a flight recorder) recorded as
+    /// zero-duration spans under the sim clock.
     pub fn attach_telemetry(&mut self, telemetry: SimTelemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -454,16 +455,16 @@ mod tests {
     #[test]
     fn telemetry_counts_and_traces_under_sim_clock() {
         use crate::telemetry::SimTelemetry;
-        use zmail_obs::{Registry, Tracer};
+        use zmail_obs::{FlightRecorder, Registry};
 
         let registry = Registry::new();
-        let tracer = Tracer::new(64);
+        let recorder = FlightRecorder::new(64);
         let mut sim = Simulation::new(BellTower {
             rings: Vec::new(),
             period: SimDuration::from_secs(2),
             limit: 3,
         });
-        sim.attach_telemetry(SimTelemetry::with_tracer(&registry, tracer.clone()));
+        sim.attach_telemetry(SimTelemetry::with_recorder(&registry, recorder.clone()));
         sim.schedule(SimTime::ZERO, Ring);
         sim.run_to_completion();
 
@@ -472,9 +473,39 @@ mod tests {
         assert_eq!(snap.gauges["sim.queue_depth"], 0);
         assert_eq!(snap.histograms["sim.handle_us.event"].count, 3);
 
-        // Trace stamps are sim-clock milliseconds: 0s, 2s, 4s.
-        let ts: Vec<u64> = tracer.drain().events.iter().map(|e| e.ts).collect();
+        // Each event is a zero-duration root span stamped with sim-clock
+        // milliseconds: 0s, 2s, 4s.
+        let log = recorder.drain();
+        assert!(log
+            .spans
+            .iter()
+            .all(|s| s.parent.is_none() && s.start == s.end));
+        let ts: Vec<u64> = log.spans.iter().map(|s| s.start).collect();
         assert_eq!(ts, vec![0, 2000, 4000]);
+        log.validate().unwrap();
+    }
+
+    #[test]
+    fn traced_run_then_attribute_share_one_registry() {
+        use crate::telemetry::SimTelemetry;
+        use zmail_obs::{attribute, FlightRecorder, Registry};
+
+        let registry = Registry::new();
+        let recorder = FlightRecorder::new(64);
+        let mut sim = Simulation::new(BellTower {
+            rings: Vec::new(),
+            period: SimDuration::from_secs(1),
+            limit: 4,
+        });
+        sim.attach_telemetry(SimTelemetry::with_recorder(&registry, recorder.clone()));
+        sim.schedule(SimTime::ZERO, Ring);
+        sim.run_to_completion();
+        // `trace.dropped` has one kind on this registry: attribute's
+        // counter. A run-end gauge under the same name would panic here.
+        attribute(&recorder.drain(), &registry);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["trace.spans"], 4);
+        assert_eq!(snap.counters["trace.dropped"], 0);
     }
 
     /// A bank of cells: each event bumps one cell with a staged value
@@ -631,20 +662,21 @@ mod tests {
     #[test]
     fn snapshots_surface_trace_ring_overflow() {
         use crate::telemetry::SimTelemetry;
-        use zmail_obs::{Registry, Tracer};
+        use zmail_obs::{attribute, FlightRecorder, Registry};
 
         let registry = Registry::new();
-        let tracer = Tracer::new(2); // tiny ring: guaranteed overflow
+        let recorder = FlightRecorder::new(2); // tiny ring: guaranteed overflow
         let mut sim = Simulation::new(BellTower {
             rings: Vec::new(),
             period: SimDuration::from_secs(1),
             limit: 10,
         });
-        sim.attach_telemetry(SimTelemetry::with_tracer(&registry, tracer));
+        sim.attach_telemetry(SimTelemetry::with_recorder(&registry, recorder.clone()));
         sim.schedule(SimTime::ZERO, Ring);
         sim.run_to_completion();
+        attribute(&recorder.drain(), &registry);
         let snap = registry.snapshot();
-        assert_eq!(snap.gauges["trace.dropped"], 8);
+        assert_eq!(snap.counters["trace.dropped"], 8);
     }
 
     #[test]

@@ -26,19 +26,25 @@
 //!   [`HEAT_KEY_CAP`] distinct keys get their own series, the rest pool
 //!   into `sim.shard.heat.other`).
 //!
-//! Optionally, each event is also written to a [`Tracer`] stamped with
-//! the **sim clock** (integer milliseconds), not the wall clock. Because
-//! virtual time is a pure function of the workload, two runs of the same
-//! seed yield byte-identical trace streams — the deterministic-trace
-//! guarantee the guard test in `crates/bench/tests/determinism.rs`
-//! asserts. Wall-clock latency histograms (and the profiler series
-//! above) are kept out of the trace for the same reason. Snapshots also
-//! carry `trace.dropped` — events lost to ring wraparound — so exports
-//! never silently truncate.
+//! Optionally, each event is also recorded in a [`FlightRecorder`] as a
+//! zero-duration root span (phase = the event label, node `sim`)
+//! stamped with the **sim clock** (integer milliseconds), not the wall
+//! clock. Because virtual time is a pure function of the workload, two
+//! runs of the same seed yield byte-identical span logs — the
+//! deterministic-trace guarantee the guard test in
+//! `crates/bench/tests/determinism.rs` asserts. Wall-clock latency
+//! histograms (and the profiler series above) are kept out of the trace
+//! for the same reason. Spans lost to ring wraparound are reported by
+//! [`zmail_obs::attribute`] as the `trace.dropped` counter when the
+//! drained log is folded into a registry.
+//!
+//! Give the sink a recorder of its own: ids are minted in sequence, so
+//! sharing one with a world that traces message lifecycles would
+//! renumber the world's spans.
 
 use std::collections::HashMap;
 use std::time::Instant;
-use zmail_obs::{Counter, Gauge, Histogram, Registry, Tracer};
+use zmail_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry};
 
 /// Distinct footprint keys that get their own `sim.shard.heat.<key>`
 /// series before further keys pool into `sim.shard.heat.other`.
@@ -63,7 +69,7 @@ pub struct SimTelemetry {
     /// [`HEAT_KEY_CAP`] distinct keys.
     heat: HashMap<u64, Counter>,
     heat_other: Counter,
-    tracer: Option<Tracer>,
+    recorder: Option<FlightRecorder>,
 }
 
 impl SimTelemetry {
@@ -83,21 +89,22 @@ impl SimTelemetry {
             apply_us: registry.histogram("sim.tick.apply_us"),
             heat: HashMap::new(),
             heat_other: registry.counter("sim.shard.heat.other"),
-            tracer: None,
+            recorder: None,
         }
     }
 
-    /// Creates a telemetry sink that additionally writes every event to
-    /// `tracer`, stamped with sim-clock milliseconds.
-    pub fn with_tracer(registry: &Registry, tracer: Tracer) -> Self {
+    /// Creates a telemetry sink that additionally records every event
+    /// in `recorder` as a zero-duration root span stamped with sim-clock
+    /// milliseconds.
+    pub fn with_recorder(registry: &Registry, recorder: FlightRecorder) -> Self {
         let mut t = Self::new(registry);
-        t.tracer = Some(tracer);
+        t.recorder = Some(recorder);
         t
     }
 
-    /// The tracer, if one is attached.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+    /// The flight recorder, if one is attached.
+    pub fn recorder(&self) -> Option<&FlightRecorder> {
+        self.recorder.as_ref()
     }
 
     /// Whether the registry is live — gates the wall-clock profiler
@@ -109,11 +116,14 @@ impl SimTelemetry {
 
     /// Called by the engine just before an event handler runs. Returns
     /// the wall-clock start when latency timing is on (registry
-    /// enabled); tracing piggybacks here with the sim-clock stamp.
+    /// enabled); the recorder span piggybacks here with the sim-clock
+    /// stamp.
     #[inline]
     pub(crate) fn on_event_start(&self, now_ms: u64, label: &'static str) -> Option<Instant> {
-        if let Some(tracer) = &self.tracer {
-            tracer.event(now_ms, label, String::new());
+        if let Some(recorder) = &self.recorder {
+            if let Some(ctx) = recorder.begin_trace(now_ms, label, "sim", "") {
+                recorder.end(now_ms, ctx);
+            }
         }
         self.registry.is_enabled().then(Instant::now)
     }
@@ -178,18 +188,11 @@ impl SimTelemetry {
     }
 
     /// Called by the engine at the end of a full run with the events
-    /// handled and the wall time taken. Also publishes the tracer's
-    /// ring-overflow count so snapshots report `trace.dropped` instead
-    /// of silently truncating.
+    /// handled and the wall time taken.
     pub(crate) fn on_run_complete(&self, handled: u64, wall: std::time::Duration) {
         let secs = wall.as_secs_f64();
         if secs > 0.0 {
             self.events_per_sec.set((handled as f64 / secs) as i64);
-        }
-        if let Some(tracer) = &self.tracer {
-            self.registry
-                .gauge("trace.dropped")
-                .set(tracer.dropped() as i64);
         }
     }
 }

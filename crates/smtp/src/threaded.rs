@@ -1,9 +1,10 @@
 //! A multi-threaded accept-loop SMTP server with explicit backpressure.
 //!
-//! [`crate::transport::TcpMailServer`] spawns one unbounded thread per
-//! connection — fine for E11's single closed-loop client, fatal under an
-//! open-loop generator that keeps dialing regardless of how the server is
-//! doing. [`ThreadedServer`] is the overload-safe replacement:
+//! [`ThreadedServer`] is the workspace's one TCP front door: E11's
+//! closed-loop client, E21's open-loop generator, the relay, and the
+//! examples all dial it. One thread per connection with no cap would be
+//! fatal under an open-loop generator that keeps dialing regardless of
+//! how the server is doing, so the server is built to survive overload:
 //!
 //! * an **acceptor** thread pulls connections off the listener and pushes
 //!   them onto a **bounded** hand-off queue;

@@ -27,8 +27,15 @@ cargo run --release -q -p zmail-bench --bin speclint -- --threads 0
 echo "== independence artifact (model-vs-harness footprint cross-check)"
 cargo run --release -q -p zmail-bench --bin speclint -- --independence-json > /dev/null
 
-echo "== obs smoke (metrics/tracing/exporters end to end)"
+echo "== obs smoke (metrics, exporters, recorder ring wraparound, chrome_trace overflow marker)"
 cargo run --release -q -p zmail-obs --bin obs_smoke > /dev/null
+
+echo "== one tracing API, one TCP server (the deleted duplicates stay deleted)"
+test ! -e crates/obs/src/trace.rs
+if grep -rqE '\bTcpMailServer\b|\bTracer\b|trace_json_lines' crates src tests examples; then
+  grep -rnE '\bTcpMailServer\b|\bTracer\b|trace_json_lines' crates src tests examples
+  exit 1
+fi
 
 echo "== determinism guards (sim-clock traces, profiled explorer)"
 cargo test -q --release -p zmail-bench --test determinism
