@@ -9,14 +9,11 @@
 //! * **Sharding.** Accounts hash across N independent `zmail-store`
 //!   engines (own WAL, own group commit, own checkpoints); cross-shard
 //!   sends run the two-phase prepare/apply/release protocol.
-//! * **Tick parallelism.** Per-message digest work stages on a worker
-//!   pool; footprint-conflicting events fall back to serial order, so a
-//!   fixed seed is byte-identical at any thread count.
 //!
 //! The grid sweeps threads × shards over the full 1M-user population
 //! and reports events/s, cross-shard share, p99 two-phase transfer
 //! latency, WAL group-commit batch sizes, and the exact zero-sum audit
-//! (`run_massive` additionally recovers every shard and asserts the
+//! (`MassiveWorld::run` additionally recovers every shard and asserts the
 //! recovered books match the live ones, so each completed row *is* a
 //! passed durability audit).
 //!
@@ -27,7 +24,7 @@
 
 use std::time::Instant;
 use zmail_bench::Report;
-use zmail_core::{run_massive, DurabilityConfig, MassiveConfig, MassiveReport};
+use zmail_core::{DurabilityConfig, MassiveConfig, MassiveReport, MassiveWorld};
 use zmail_obs::HistogramSnapshot;
 use zmail_sim::Table;
 use zmail_store::StoreConfig;
@@ -58,7 +55,7 @@ fn config(users_per_isp: u32, ticks: u32, sends_per_tick: u32, shards: u32) -> M
         sends_per_tick,
         durability: DurabilityConfig {
             // Group commit amortizes the per-record sync; checkpoints
-            // are off so recovery (asserted inside run_massive) replays
+            // are off so recovery (asserted inside MassiveWorld::run) replays
             // the whole WAL — the worst case, priced honestly.
             store: StoreConfig {
                 batch_records: 256,
@@ -77,7 +74,7 @@ fn cell(cfg: &MassiveConfig, threads: usize) -> (MassiveReport, f64, Option<u64>
     let xfer_before = registry.histogram("shard.xfer_micros").snapshot();
     let batch_before = registry.histogram("store.batch_records").snapshot();
     let start = Instant::now();
-    let report = run_massive(cfg, threads);
+    let report = MassiveWorld::new(*cfg).run(threads);
     let wall = start.elapsed().as_secs_f64();
     let xfer = delta(
         &registry.histogram("shard.xfer_micros").snapshot(),
@@ -93,12 +90,11 @@ fn cell(cfg: &MassiveConfig, threads: usize) -> (MassiveReport, f64, Option<u64>
 fn grid(users_per_isp: u32, ticks: u32, sends_per_tick: u32, threads: &[usize], shards: &[u32]) {
     let cfg0 = config(users_per_isp, ticks, sends_per_tick, shards[0]);
     println!(
-        "population: {} users across {} ISPs; {} sends over {} ticks; digest {} rounds",
+        "population: {} users across {} ISPs; {} sends over {} ticks",
         cfg0.users(),
         cfg0.isps,
         u64::from(ticks) * u64::from(sends_per_tick),
         ticks,
-        cfg0.digest_rounds,
     );
     println!(
         "host parallelism: {} hardware thread(s)\n",
@@ -138,7 +134,7 @@ fn grid(users_per_isp: u32, ticks: u32, sends_per_tick: u32, threads: &[usize], 
                 format!("{share:.1}%"),
                 xfer_p99.map_or_else(|| "-".into(), |v| format!("{v}µs")),
                 batch_p50.map_or_else(|| "-".into(), |v| v.to_string()),
-                "exact".to_string(), // run_massive panics on any drift
+                "exact".to_string(), // MassiveWorld::run panics on any drift
             ]);
         }
     }
@@ -159,9 +155,9 @@ fn grid(users_per_isp: u32, ticks: u32, sends_per_tick: u32, threads: &[usize], 
 fn equivalence() -> bool {
     let mut ok = true;
     let cfg = config(200, 4, 1_500, 4);
-    let reference = run_massive(&cfg, 1);
+    let reference = MassiveWorld::new(cfg).run(1);
     for threads in [2, 4, 8, 0] {
-        let report = run_massive(&cfg, threads);
+        let report = MassiveWorld::new(cfg).run(threads);
         let same = report == reference;
         println!(
             "threads {threads:>2} vs serial: {}",
@@ -169,11 +165,10 @@ fn equivalence() -> bool {
         );
         ok &= same;
     }
-    let one = run_massive(&config(200, 4, 1_500, 1), 2);
+    let one = MassiveWorld::new(config(200, 4, 1_500, 1)).run(2);
     for shards in [4, 16] {
-        let many = run_massive(&config(200, 4, 1_500, shards), 2);
-        let same = (many.paid, many.digest_checksum, many.books_crc)
-            == (one.paid, one.digest_checksum, one.books_crc);
+        let many = MassiveWorld::new(config(200, 4, 1_500, shards)).run(2);
+        let same = (many.paid, many.books_crc) == (one.paid, one.books_crc);
         println!(
             "shards {shards:>2} vs 1: books {}",
             if same { "identical" } else { "DIVERGED" }

@@ -29,8 +29,7 @@
 use std::time::Instant;
 use zmail_bench::Report;
 use zmail_core::{
-    run_massive, run_massive_traced, DurabilityConfig, MassiveConfig, RunReport, ZmailConfig,
-    ZmailSystem,
+    DurabilityConfig, MassiveConfig, MassiveWorld, RunReport, ZmailConfig, ZmailSystem,
 };
 use zmail_econ::EPennies;
 use zmail_obs::{attribute, FlightRecorder, Registry, SpanLog};
@@ -254,11 +253,13 @@ fn massive_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
     for rate in RATES {
         let start = Instant::now();
         let (report, log) = match rate {
-            None => (run_massive(&cfg, 4), SpanLog::default()),
+            None => (MassiveWorld::new(cfg).run(4), SpanLog::default()),
             Some(n) => {
                 let recorder = FlightRecorder::new(RING);
                 recorder.set_sampling(n);
-                let report = run_massive_traced(&cfg, 4, recorder.clone());
+                let mut world = MassiveWorld::new(cfg);
+                world.attach_flight_recorder(recorder.clone());
+                let report = world.run(4);
                 recorder.finalize(u64::from(ticks) * 1000);
                 (report, recorder.drain())
             }
@@ -292,8 +293,8 @@ fn massive_overhead(users_per_isp: u32, ticks: u32, sends_per_tick: u32) -> bool
     }
     println!("{table}");
     println!(
-        "(identical = MassiveReport equal to the untraced run — paid count,\n\
-         event digest, and books CRC all included.)\n"
+        "(identical = MassiveReport equal to the untraced run — paid count\n\
+         and books CRC included.)\n"
     );
     ok
 }

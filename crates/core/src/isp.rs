@@ -67,6 +67,20 @@ impl fmt::Display for SendError {
 
 impl Error for SendError {}
 
+/// The paper's §4.1 send guard for `legs` paid sends: `balance[s]` must
+/// cover every leg and `sent[s]` must stay within `limit[s]`. The balance
+/// is checked first. [`Isp`] (behind `ZmailWorld` and the SMTP gateway)
+/// and [`crate::MassiveWorld`] refuse sends through this one function.
+pub(crate) fn send_guard(balance: i64, sent: u32, limit: u32, legs: u32) -> Result<(), SendError> {
+    if balance < i64::from(legs) {
+        return Err(SendError::InsufficientBalance);
+    }
+    if u64::from(sent) + u64::from(legs) > u64::from(limit) {
+        return Err(SendError::DailyLimitExceeded);
+    }
+    Ok(())
+}
+
 /// The result of an accepted send.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SendOutcome {
@@ -620,20 +634,23 @@ impl Isp {
         self.guard_sender(sender, u32::try_from(paid_legs).unwrap_or(u32::MAX))
     }
 
-    /// The §4.1 guards for `legs` paid sends by `sender`.
+    /// The §4.1 guards for `legs` paid sends by `sender`, counted in the
+    /// bounce statistics.
     fn guard_sender(&mut self, sender: u32, legs: u32) -> Result<(), SendError> {
         let user = &self.users[sender as usize];
-        if user.balance < EPennies(i64::from(legs)) {
-            self.stats.bounced_balance += 1;
-            CoreMetrics::get().reject_balance.inc();
-            return Err(SendError::InsufficientBalance);
+        let verdict = send_guard(user.balance.0, user.sent_today, user.limit, legs);
+        match verdict {
+            Err(SendError::InsufficientBalance) => {
+                self.stats.bounced_balance += 1;
+                CoreMetrics::get().reject_balance.inc();
+            }
+            Err(SendError::DailyLimitExceeded) => {
+                self.stats.bounced_limit += 1;
+                CoreMetrics::get().reject_limit.inc();
+            }
+            Ok(()) => {}
         }
-        if u64::from(user.sent_today) + u64::from(legs) > u64::from(user.limit) {
-            self.stats.bounced_limit += 1;
-            CoreMetrics::get().reject_limit.inc();
-            return Err(SendError::DailyLimitExceeded);
-        }
-        Ok(())
+        verdict
     }
 
     fn charge_sender(&mut self, sender: u32) -> Result<(), SendError> {
@@ -1135,6 +1152,36 @@ mod tests {
         assert_eq!(isps[1].credit(IspId(0)), -1);
         // Antisymmetry after quiescence.
         assert_eq!(isps[0].credit(IspId(1)) + isps[1].credit(IspId(0)), 0);
+    }
+
+    #[test]
+    fn send_guard_boundaries() {
+        use SendError::{DailyLimitExceeded as Limit, InsufficientBalance as Balance};
+        // (balance, sent, limit, legs) -> verdict
+        let table = [
+            ((3, 0, 10, 3), Ok(())),
+            ((2, 0, 10, 3), Err(Balance)),
+            ((1, 0, 10, 1), Ok(())),
+            ((0, 0, 10, 1), Err(Balance)),
+            ((100, 7, 10, 3), Ok(())),
+            ((100, 8, 10, 3), Err(Limit)),
+            ((100, 9, 10, 1), Ok(())),
+            ((100, 10, 10, 1), Err(Limit)),
+            // Both fail: the balance is reported first.
+            ((0, 10, 10, 1), Err(Balance)),
+            ((2, 9, 10, 3), Err(Balance)),
+            // No overflow at the top of the range.
+            ((i64::MAX, u32::MAX - 1, u32::MAX, 1), Ok(())),
+            ((i64::MAX, u32::MAX, u32::MAX, u32::MAX), Err(Limit)),
+            ((i64::MAX, 0, u32::MAX, u32::MAX), Ok(())),
+        ];
+        for ((balance, sent, limit, legs), want) in table {
+            assert_eq!(
+                send_guard(balance, sent, limit, legs),
+                want,
+                "balance={balance} sent={sent} limit={limit} legs={legs}"
+            );
+        }
     }
 
     #[test]

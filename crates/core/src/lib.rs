@@ -27,7 +27,9 @@
 //! * [`mailinglist`] — the §5 acknowledgment-refund mechanism for mailing
 //!   lists, including stale-subscriber pruning;
 //! * [`massive`] — population-scale runs (1M+ users) over the sharded
-//!   durable ledger with tick-parallel execution (experiment E17);
+//!   durable ledger (experiment E17): [`Isp`]'s §4.1 send guard, shard
+//!   footprints for tick batching and racecheck, and one settle step
+//!   (audit, recovery, books CRC) for plain, traced and checked runs;
 //! * [`zombie`] — analysis of the §5 daily-limit defence against zombified
 //!   PCs;
 //! * [`spec`] — a literal Abstract-Protocol-notation encoding of the
@@ -90,10 +92,7 @@ pub use ids::IspId;
 pub use invariants::AuditError;
 pub use isp::{Delivery, Isp, RefusalCause, SendError, SendOutcome};
 pub use mailinglist::{ListConfig, ListServer, PostReport};
-pub use massive::{
-    run_massive, run_massive_checked, run_massive_traced, MassiveConfig, MassiveEvent,
-    MassiveReport, MassiveWorld,
-};
+pub use massive::{MassiveConfig, MassiveEvent, MassiveReport, MassiveWorld};
 pub use msg::{EmailMsg, NetMsg};
 pub use multibank::{FederatedRound, Federation};
 pub use system::{RecoveryEvent, RunReport, ZmailSystem};

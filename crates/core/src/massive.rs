@@ -27,15 +27,16 @@
 //! # Parallel-within-tick
 //!
 //! [`MassiveWorld`] implements [`ParallelWorld`]: an event's footprint
-//! is the pair of shards its sender and receiver live on, its stage
-//! phase does the per-message digest work (modelling the §4 evidence
-//! sealing — the embarrassingly parallel part), and its apply phase
-//! moves the penny. The engine stages footprint-independent events on a
-//! worker pool and applies everything serially in FIFO order, so a run
-//! is byte-identical at any thread count — which
-//! `scripts/ci.sh` pins with the E17 equivalence gate.
+//! is the pair of shards its sender and receiver live on, and its apply
+//! phase runs the §4.1 guard and moves the penny. The stage phase is
+//! empty: this world has no per-message work outside the ledger. The
+//! footprints still drive the engine's batching and the race checker,
+//! and everything applies serially in FIFO order, so a run is
+//! byte-identical at any thread count — which `scripts/ci.sh` pins with
+//! the E17 equivalence gate.
 
 use crate::config::DurabilityConfig;
+use crate::isp::{send_guard, SendError};
 use zmail_obs::{FlightRecorder, SpanStatus};
 use zmail_sim::racecheck::{AccessRecorder, CheckedWorld, RacecheckReport, RecordedWorld};
 use zmail_sim::{ParallelWorld, Scheduler, SimDuration, SimTime, Simulation, World};
@@ -57,9 +58,6 @@ pub struct MassiveConfig {
     pub ticks: u32,
     /// Send events scheduled per tick.
     pub sends_per_tick: u32,
-    /// Rounds of digest mixing per message, modelling the per-message
-    /// crypto the stage phase would do in the full protocol.
-    pub digest_rounds: u32,
     /// Initial e-penny balance per user.
     pub initial_balance: i64,
     /// Per-user daily send limit.
@@ -77,7 +75,6 @@ impl Default for MassiveConfig {
             users_per_isp: 1_000,
             ticks: 10,
             sends_per_tick: 1_000,
-            digest_rounds: 64,
             initial_balance: 100,
             daily_limit: u32::MAX,
             durability: DurabilityConfig::default(),
@@ -153,9 +150,6 @@ pub struct MassiveReport {
     pub cross_shard: u64,
     /// Paid sends settled within one shard.
     pub same_shard: u64,
-    /// Fold of every staged message digest: changes if any event's
-    /// staged computation or order of application changes.
-    pub digest_checksum: u64,
     /// CRC32 of the merged books' canonical encoding at run end.
     pub books_crc: u32,
 }
@@ -265,11 +259,74 @@ impl MassiveWorld {
         recovered == self.store.books()
     }
 
-    fn finish(&mut self) {
-        self.store.commit_all();
-        let encoded = self.store.books().encode();
-        self.report.books_crc = zmail_store::wal::crc32(&encoded);
+    /// Runs this world's workload with `threads` stage workers (0 = all
+    /// cores, 1 = serial) and returns the settled report. A caller that
+    /// attached a flight recorder keeps a clone to `finalize` and `drain`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the zero-sum audit or the recovery audit fails.
+    pub fn run(self, threads: usize) -> MassiveReport {
+        let config = self.config;
+        settle(self, &config, threads, |world| (world, ())).0
     }
+
+    /// [`MassiveWorld::run`] under the armed footprint race checker: the
+    /// same workload runs through a [`CheckedWorld`] adapter that records
+    /// every shard access and diffs it against the declared footprints.
+    /// Returns both reports; the racecheck report must be clean (it is —
+    /// the shard footprints are exact, which
+    /// `crates/core/tests/massive_racecheck.rs` pins down with randomized
+    /// schedules and a mutation test).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the zero-sum audit or the recovery audit fails.
+    pub fn run_checked(self, threads: usize) -> (MassiveReport, RacecheckReport) {
+        let config = self.config;
+        settle(CheckedWorld::armed(self), &config, threads, |checked| {
+            let racecheck = checked.report();
+            (checked.into_inner(), racecheck)
+        })
+    }
+}
+
+/// The one run path of plain, traced and checked runs: schedules the
+/// `ticks × sends_per_tick` sends plus a per-tick commit, runs them
+/// tick-parallel, takes the [`MassiveWorld`] out with `unwrap`, asserts
+/// the exact zero-sum audit and recovery equal to the live books, then
+/// commits every shard and seals the books CRC.
+fn settle<W, R>(
+    world: W,
+    config: &MassiveConfig,
+    threads: usize,
+    unwrap: impl FnOnce(W) -> (MassiveWorld, R),
+) -> (MassiveReport, R)
+where
+    W: ParallelWorld<Event = MassiveEvent> + Sync,
+{
+    let mut sim = Simulation::new(world);
+    for tick in 0..config.ticks {
+        let at = SimTime::ZERO + SimDuration::from_secs(u64::from(tick));
+        for i in 0..config.sends_per_tick {
+            sim.schedule(
+                at,
+                MassiveEvent::Send(MassiveWorld::send_at(config, tick, i)),
+            );
+        }
+        sim.schedule(at, MassiveEvent::TickCommit);
+    }
+    sim.run_parallel_to_completion(threads);
+    let (mut world, extra) = unwrap(sim.into_world());
+    world.audit().expect("zero-sum audit must balance exactly");
+    assert!(
+        world.verify_recovery(),
+        "recovered books must match live books"
+    );
+    world.store.commit_all();
+    let encoded = world.store.books().encode();
+    world.report.books_crc = zmail_store::wal::crc32(&encoded);
+    (world.report, extra)
 }
 
 impl World for MassiveWorld {
@@ -281,8 +338,7 @@ impl World for MassiveWorld {
         event: MassiveEvent,
         scheduler: &mut Scheduler<'_, MassiveEvent>,
     ) {
-        let effect = self.stage(now, &event);
-        self.apply(now, event, effect, scheduler);
+        self.apply(now, event, (), scheduler);
     }
 
     fn event_label(event: &MassiveEvent) -> &'static str {
@@ -304,7 +360,7 @@ pub enum MassiveEvent {
 }
 
 impl ParallelWorld for MassiveWorld {
-    type Effect = u64;
+    type Effect = ();
 
     fn footprint(&self, event: &MassiveEvent, keys: &mut Vec<u64>) {
         match event {
@@ -321,28 +377,13 @@ impl ParallelWorld for MassiveWorld {
         }
     }
 
-    fn stage(&self, _now: SimTime, event: &MassiveEvent) -> u64 {
-        let MassiveEvent::Send(send) = event else {
-            return 0;
-        };
-        // The per-message evidence digest (§4's sealed charge receipt):
-        // pure compute over immutable inputs — the parallel payload.
-        let mut digest = (u64::from(send.from_isp) << 48)
-            | (u64::from(send.from_user) << 32)
-            | (u64::from(send.to_isp) << 16)
-            | u64::from(send.to_user);
-        digest ^= self.config.seed;
-        for _ in 0..self.config.digest_rounds {
-            digest = splitmix(digest);
-        }
-        digest
-    }
+    fn stage(&self, _now: SimTime, _event: &MassiveEvent) {}
 
     fn apply(
         &mut self,
         now: SimTime,
         event: MassiveEvent,
-        effect: u64,
+        _effect: (),
         _scheduler: &mut Scheduler<'_, MassiveEvent>,
     ) {
         self.report.events += 1;
@@ -371,18 +412,19 @@ impl ParallelWorld for MassiveWorld {
         let to_shard = u64::from(self.store.map().user_shard(send.to_isp, send.to_user));
         self.recorder.read(CLASS_SHARD, from_shard);
         let sender = self.store.user(send.from_isp, send.from_user);
-        if sender.balance < 1 {
-            self.report.bounced_balance += 1;
+        if let Err(refusal) = send_guard(sender.balance, sender.sent_today, sender.limit, 1) {
+            let note = match refusal {
+                SendError::InsufficientBalance => {
+                    self.report.bounced_balance += 1;
+                    "bounced=balance"
+                }
+                SendError::DailyLimitExceeded => {
+                    self.report.bounced_limit += 1;
+                    "bounced=limit"
+                }
+            };
             if let Some(ctx) = lifecycle {
-                self.flight.annotate(ctx, "bounced=balance");
-                self.flight.end_with(ms, ctx, SpanStatus::Dropped);
-            }
-            return;
-        }
-        if sender.sent_today >= sender.limit {
-            self.report.bounced_limit += 1;
-            if let Some(ctx) = lifecycle {
-                self.flight.annotate(ctx, "bounced=limit");
+                self.flight.annotate(ctx, note);
                 self.flight.end_with(ms, ctx, SpanStatus::Dropped);
             }
             return;
@@ -409,7 +451,6 @@ impl ParallelWorld for MassiveWorld {
             },
         );
         self.report.paid += 1;
-        self.report.digest_checksum = self.report.digest_checksum.wrapping_add(effect);
         if let Some(ctx) = lifecycle {
             self.flight.end(ms, ctx);
         }
@@ -417,100 +458,21 @@ impl ParallelWorld for MassiveWorld {
 }
 
 impl RecordedWorld for MassiveWorld {
-    fn recorded_stage(&self, now: SimTime, event: &MassiveEvent, _rec: &mut AccessRecorder) -> u64 {
-        // Stage digests are pure compute over the event and the seed —
-        // no mutable shared state is read, so nothing is recorded.
-        self.stage(now, event)
-    }
+    // The stage is empty, so it reads nothing to record.
+    fn recorded_stage(&self, _now: SimTime, _event: &MassiveEvent, _rec: &mut AccessRecorder) {}
 
     fn recorded_apply(
         &mut self,
         now: SimTime,
         event: MassiveEvent,
-        effect: u64,
+        _effect: (),
         scheduler: &mut Scheduler<'_, MassiveEvent>,
         rec: &mut AccessRecorder,
     ) {
         std::mem::swap(&mut self.recorder, rec);
-        self.apply(now, event, effect, scheduler);
+        self.apply(now, event, (), scheduler);
         std::mem::swap(&mut self.recorder, rec);
     }
-}
-
-/// Schedules the full `ticks × sends_per_tick` workload of `config`
-/// onto `sim` (plus the per-tick commit barrier).
-fn schedule_massive<W>(sim: &mut Simulation<W>, config: &MassiveConfig)
-where
-    W: World<Event = MassiveEvent>,
-{
-    for tick in 0..config.ticks {
-        let at = SimTime::ZERO + SimDuration::from_secs(u64::from(tick));
-        for i in 0..config.sends_per_tick {
-            sim.schedule(
-                at,
-                MassiveEvent::Send(MassiveWorld::send_at(config, tick, i)),
-            );
-        }
-        sim.schedule(at, MassiveEvent::TickCommit);
-    }
-}
-
-/// Runs one population-scale simulation: schedules
-/// `ticks × sends_per_tick` sends plus a per-tick commit, drives the
-/// tick-parallel engine with `threads` workers (0 = all cores, 1 =
-/// serial), and returns the report with the end-of-run books CRC.
-pub fn run_massive(config: &MassiveConfig, threads: usize) -> MassiveReport {
-    let mut sim = Simulation::new(MassiveWorld::new(*config));
-    schedule_massive(&mut sim, config);
-    sim.run_parallel_to_completion(threads);
-    let mut world = sim.into_world();
-    world.audit().expect("zero-sum audit must balance exactly");
-    assert!(
-        world.verify_recovery(),
-        "recovered books must match live books"
-    );
-    world.finish();
-    world.report
-}
-
-/// [`run_massive`] with a causal flight recorder attached — the E19
-/// recorder-overhead probe at population scale. The caller keeps a clone
-/// of `recorder` to `finalize` and `drain` after the run.
-pub fn run_massive_traced(
-    config: &MassiveConfig,
-    threads: usize,
-    recorder: FlightRecorder,
-) -> MassiveReport {
-    let mut world = MassiveWorld::new(*config);
-    world.attach_flight_recorder(recorder);
-    let mut sim = Simulation::new(world);
-    schedule_massive(&mut sim, config);
-    sim.run_parallel_to_completion(threads);
-    let mut world = sim.into_world();
-    world.audit().expect("zero-sum audit must balance exactly");
-    world.finish();
-    world.report
-}
-
-/// [`run_massive`] under the armed footprint race checker: the same
-/// workload runs through a [`CheckedWorld`] adapter that records every
-/// shard access and diffs it against the declared footprints. Returns
-/// both reports; the racecheck report must be clean (it is — the shard
-/// footprints are exact, which `crates/core/tests/massive_racecheck.rs`
-/// pins down with randomized schedules and a mutation test).
-pub fn run_massive_checked(
-    config: &MassiveConfig,
-    threads: usize,
-) -> (MassiveReport, RacecheckReport) {
-    let mut sim = Simulation::new(CheckedWorld::armed(MassiveWorld::new(*config)));
-    schedule_massive(&mut sim, config);
-    sim.run_parallel_to_completion(threads);
-    let checked = sim.into_world();
-    let racecheck = checked.report();
-    let mut world = checked.into_inner();
-    world.audit().expect("zero-sum audit must balance exactly");
-    world.finish();
-    (world.report, racecheck)
 }
 
 #[cfg(test)]
@@ -523,7 +485,6 @@ mod tests {
             users_per_isp: 50,
             ticks: 4,
             sends_per_tick: 200,
-            digest_rounds: 8,
             durability: DurabilityConfig {
                 shards,
                 ..DurabilityConfig::default()
@@ -535,13 +496,13 @@ mod tests {
     #[test]
     fn reports_are_identical_at_every_thread_count() {
         let config = small(4);
-        let reference = run_massive(&config, 1);
+        let reference = MassiveWorld::new(config).run(1);
         assert_eq!(reference.events, 4 * 200 + 4);
         assert!(reference.paid > 0);
         assert!(reference.cross_shard > 0, "workload must cross shards");
         for threads in [2, 4, 8, 0] {
             assert_eq!(
-                run_massive(&config, threads),
+                MassiveWorld::new(config).run(threads),
                 reference,
                 "threads={threads}"
             );
@@ -550,13 +511,12 @@ mod tests {
 
     #[test]
     fn shard_count_changes_wal_layout_not_economics() {
-        let one = run_massive(&small(1), 2);
+        let one = MassiveWorld::new(small(1)).run(2);
         for shards in [4, 16] {
-            let many = run_massive(&small(shards), 2);
+            let many = MassiveWorld::new(small(shards)).run(2);
             assert_eq!(many.paid, one.paid);
             assert_eq!(many.bounced_balance, one.bounced_balance);
             assert_eq!(many.bounced_limit, one.bounced_limit);
-            assert_eq!(many.digest_checksum, one.digest_checksum);
             assert_eq!(
                 many.books_crc, one.books_crc,
                 "merged books must be identical at {shards} shards"
@@ -569,9 +529,9 @@ mod tests {
     #[test]
     fn checked_run_is_clean_and_matches_unchecked() {
         let config = small(4);
-        let reference = run_massive(&config, 2);
+        let reference = MassiveWorld::new(config).run(2);
         for threads in [1, 4] {
-            let (report, racecheck) = run_massive_checked(&config, threads);
+            let (report, racecheck) = MassiveWorld::new(config).run_checked(threads);
             assert_eq!(report, reference, "threads={threads}");
             assert!(
                 racecheck.findings.is_empty(),
@@ -585,10 +545,12 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_and_is_thread_independent() {
         let config = small(4);
-        let reference = run_massive(&config, 1);
+        let reference = MassiveWorld::new(config).run(1);
         let record = |threads: usize| {
             let recorder = FlightRecorder::new(1 << 16);
-            let report = run_massive_traced(&config, threads, recorder.clone());
+            let mut world = MassiveWorld::new(config);
+            world.attach_flight_recorder(recorder.clone());
+            let report = world.run(threads);
             recorder.finalize(u64::from(config.ticks) * 1000);
             (report, recorder.drain())
         };
@@ -617,19 +579,53 @@ mod tests {
             ticks: 8,
             sends_per_tick: 100,
             initial_balance: 3,
-            digest_rounds: 1,
             durability: DurabilityConfig {
                 shards: 2,
                 ..DurabilityConfig::default()
             },
             ..MassiveConfig::default()
         };
-        let report = run_massive(&config, 2);
+        let report = MassiveWorld::new(config).run(2);
         assert!(report.bounced_balance > 0, "tiny balances must bounce");
         // Every payment is matched: paid = deposits = charges.
         assert_eq!(
             report.paid + report.bounced_balance + report.bounced_limit,
             u64::from(config.ticks) * u64::from(config.sends_per_tick)
         );
+    }
+
+    #[test]
+    fn daily_limits_bounce_and_cap_every_sender() {
+        let config = MassiveConfig {
+            isps: 2,
+            users_per_isp: 4,
+            ticks: 8,
+            sends_per_tick: 100,
+            initial_balance: 1_000,
+            daily_limit: 20,
+            durability: DurabilityConfig {
+                shards: 2,
+                ..DurabilityConfig::default()
+            },
+            ..MassiveConfig::default()
+        };
+        let (report, sent) = settle(MassiveWorld::new(config), &config, 2, |world| {
+            let sent: Vec<u32> = (0..config.isps)
+                .flat_map(|isp| (0..config.users_per_isp).map(move |user| (isp, user)))
+                .map(|(isp, user)| world.store().user(isp, user).sent_today)
+                .collect();
+            (world, sent)
+        });
+        assert!(report.bounced_limit > 0, "a small limit must bounce");
+        assert_eq!(report.bounced_balance, 0, "balances never run dry here");
+        assert_eq!(
+            report.paid + report.bounced_balance + report.bounced_limit,
+            u64::from(config.ticks) * u64::from(config.sends_per_tick)
+        );
+        assert!(
+            sent.iter().all(|&n| n <= config.daily_limit),
+            "a sender went past the limit: {sent:?}"
+        );
+        assert_eq!(sent.iter().map(|&n| u64::from(n)).sum::<u64>(), report.paid);
     }
 }

@@ -27,7 +27,6 @@ fn config() -> MassiveConfig {
         users_per_isp: USERS,
         ticks: 0, // schedule built by hand below
         sends_per_tick: 0,
-        digest_rounds: 4,
         initial_balance: 1_000, // every send pays: mutations always occur
         daily_limit: u32::MAX,
         durability: DurabilityConfig {
@@ -86,8 +85,7 @@ impl World for DroppedFootprint {
         event: MassiveEvent,
         scheduler: &mut Scheduler<'_, MassiveEvent>,
     ) {
-        let effect = self.stage(now, &event);
-        self.apply(now, event, effect, scheduler);
+        self.apply(now, event, (), scheduler);
     }
     fn event_label(event: &MassiveEvent) -> &'static str {
         MassiveWorld::event_label(event)
@@ -95,21 +93,21 @@ impl World for DroppedFootprint {
 }
 
 impl ParallelWorld for DroppedFootprint {
-    type Effect = u64;
+    type Effect = ();
     fn footprint(&self, event: &MassiveEvent, keys: &mut Vec<u64>) {
         match event {
             MassiveEvent::Send(_) => {} // the lie: nothing declared
             MassiveEvent::TickCommit => self.0.footprint(event, keys),
         }
     }
-    fn stage(&self, now: SimTime, event: &MassiveEvent) -> u64 {
+    fn stage(&self, now: SimTime, event: &MassiveEvent) {
         self.0.stage(now, event)
     }
     fn apply(
         &mut self,
         now: SimTime,
         event: MassiveEvent,
-        effect: u64,
+        effect: (),
         scheduler: &mut Scheduler<'_, MassiveEvent>,
     ) {
         self.0.apply(now, event, effect, scheduler);
@@ -117,14 +115,14 @@ impl ParallelWorld for DroppedFootprint {
 }
 
 impl RecordedWorld for DroppedFootprint {
-    fn recorded_stage(&self, now: SimTime, event: &MassiveEvent, rec: &mut AccessRecorder) -> u64 {
+    fn recorded_stage(&self, now: SimTime, event: &MassiveEvent, rec: &mut AccessRecorder) {
         self.0.recorded_stage(now, event, rec)
     }
     fn recorded_apply(
         &mut self,
         now: SimTime,
         event: MassiveEvent,
-        effect: u64,
+        effect: (),
         scheduler: &mut Scheduler<'_, MassiveEvent>,
         rec: &mut AccessRecorder,
     ) {

@@ -37,6 +37,12 @@ if grep -rqE '\bTcpMailServer\b|\bTracer\b|trace_json_lines' crates src tests ex
   exit 1
 fi
 
+echo "== one §4.1 guard, one massive run path (the deleted duplicates stay deleted)"
+if grep -rqE '\brun_massive_traced\b|\bdigest_rounds\b' crates src tests examples; then
+  grep -rnE '\brun_massive_traced\b|\bdigest_rounds\b' crates src tests examples
+  exit 1
+fi
+
 echo "== determinism guards (sim-clock traces, profiled explorer)"
 cargo test -q --release -p zmail-bench --test determinism
 
