@@ -182,9 +182,9 @@ fn harness_throughput(isps: u32, users_per_isp: u32, days: u64) -> bool {
         registry.counter("racecheck.findings").get(),
     );
     println!(
-        "(identical = RunReport byte-equal to the serial baseline, digest\n\
-         checksum included. The armed row is the checker's full-harness\n\
-         cost; its findings count is folded into the verdict below.)\n"
+        "(identical = RunReport byte-equal to the serial baseline, every\n\
+         field. The armed row is the checker's full-harness cost; its\n\
+         findings count is folded into the verdict below.)\n"
     );
     ok
 }

@@ -169,9 +169,9 @@ fn harness_overhead(isps: u32, users_per_isp: u32, days: u64) -> (bool, SpanLog)
     }
     println!("{table}");
     println!(
-        "(identical = RunReport byte-equal to the untraced baseline, digest\n\
-         checksum included: the recorder observes, it never steers. Span\n\
-         timestamps are sim-clock, so overhead is pure bookkeeping.)\n"
+        "(identical = RunReport byte-equal to the untraced baseline, every\n\
+         field: the recorder observes, it never steers. Span timestamps\n\
+         are sim-clock, so overhead is pure bookkeeping.)\n"
     );
     (ok, full_log)
 }

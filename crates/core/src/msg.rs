@@ -114,68 +114,6 @@ impl NetMsg {
         }
     }
 
-    /// Deterministic content digest, the parallel staging payload of the
-    /// full-protocol harness: FNV-1a over the message's wire-visible
-    /// content (sealed envelope bytes where one is carried), finished
-    /// with an avalanche mix. Models the per-message evidence work of §4
-    /// — pure compute over immutable inputs, safe to run on any stage
-    /// worker.
-    pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.label().as_bytes());
-        match self {
-            NetMsg::Email(email) => {
-                eat(&email.from.isp.to_le_bytes());
-                eat(&email.from.user.to_le_bytes());
-                eat(&email.to.isp.to_le_bytes());
-                eat(&email.to.user.to_le_bytes());
-                eat(&[email.kind as u8, u8::from(email.paid)]);
-                // Unsigned mail folds nothing extra, so legacy digests
-                // (and hence `RunReport::digest_checksum`) are unchanged
-                // when attestations are off.
-                if let Some(att) = &email.attestation {
-                    eat(&att.encode());
-                }
-            }
-            NetMsg::Buy { envelope, audit } | NetMsg::Sell { envelope, audit } => {
-                eat(&envelope.to_bytes());
-                eat(&audit.to_le_bytes());
-            }
-            NetMsg::BuyReply {
-                envelope,
-                audit,
-                replayed,
-            }
-            | NetMsg::SellReply {
-                envelope,
-                audit,
-                replayed,
-            } => {
-                eat(&envelope.to_bytes());
-                eat(&audit.to_le_bytes());
-                eat(&[u8::from(*replayed)]);
-            }
-            NetMsg::SnapshotRequest { envelope } => eat(&envelope.to_bytes()),
-            NetMsg::SnapshotReply { from, envelope } => {
-                eat(&from.0.to_le_bytes());
-                eat(&envelope.to_bytes());
-            }
-        }
-        // Finishing avalanche (splitmix64-style) so near-identical
-        // messages land far apart in the checksum fold.
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^ (h >> 31)
-    }
-
     /// Short label for traces and metrics.
     pub fn label(&self) -> &'static str {
         match self {

@@ -55,9 +55,8 @@ enum Event {
         /// and snapshot traffic (their latency is measured by the
         /// `bank_rtt` span keyed on the requesting ISP) and whenever
         /// the flight recorder is off or the trace unsampled. Not part
-        /// of the wire content: excluded from [`NetMsg::digest`] by
-        /// construction, so traced and untraced runs share a
-        /// [`RunReport::digest_checksum`].
+        /// of the wire content: no protocol decision reads it, so traced
+        /// and untraced runs produce the same [`RunReport`].
         ctx: Option<EmailTrace>,
     },
     /// End-of-day: reset every `sent` array.
@@ -187,12 +186,6 @@ pub struct RunReport {
     /// Crash-recoveries performed from the durable store, in order
     /// (empty unless durability is configured and a `Crash` fired).
     pub recoveries: Vec<RecoveryEvent>,
-    /// Fold of every staged per-event digest ([`NetMsg::digest`] for
-    /// deliveries, the trace-entry digest for workload sends) — the
-    /// parallel staging payload. Serial and tick-parallel runs of one
-    /// seed must agree on it exactly, so it anchors the serial≡parallel
-    /// equivalence gate to the staged computation, not just the applies.
-    pub digest_checksum: u64,
 }
 
 impl RunReport {
@@ -349,30 +342,6 @@ pub const BANK_KEY: u64 = 0;
 /// Racecheck access classes of the full-protocol world.
 const CLASS_ISP: &str = "isp";
 const CLASS_BANK: &str = "bank";
-
-/// Deterministic digest of one workload trace entry — the staging
-/// payload of `Event::Workload`, folded into
-/// [`RunReport::digest_checksum`] alongside each delivery's
-/// [`NetMsg::digest`]. FNV-1a over the entry fields, finished with an
-/// avalanche mix, exactly like the message digest.
-fn trace_digest(entry: &SendEvent) -> u64 {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(entry.at.as_millis());
-    eat((u64::from(entry.from.isp) << 32) | u64::from(entry.from.user));
-    eat((u64::from(entry.to.isp) << 32) | u64::from(entry.to.user));
-    eat(entry.kind as u64);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
 
 /// The fault layer's view of a [`Node`].
 fn endpoint(node: Node) -> Endpoint {
@@ -1113,6 +1082,11 @@ impl ZmailWorld {
                             // stranded when the original reply was lost;
                             // it just landed in the pool after all.
                             self.pennies_stranded -= audit;
+                        } else if !applied && !replayed {
+                            // A fresh-nonce retry superseded this request:
+                            // the bank issued the grant, but no pool will
+                            // take it. Stranded, as if the reply were lost.
+                            self.pennies_stranded += audit;
                         }
                     }
                     Err(_) => {
@@ -1145,6 +1119,10 @@ impl ZmailWorld {
                             // the original confirmation was lost; the
                             // pool has now actually given the value up.
                             self.pennies_stranded += audit;
+                        } else if !applied && !replayed {
+                            // A superseded retirement: the bank retired
+                            // the value, the pool still holds it.
+                            self.pennies_stranded -= audit;
                         }
                     }
                     Err(_) => {
@@ -1291,19 +1269,14 @@ impl World for ZmailWorld {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, scheduler: &mut Scheduler<'_, Event>) {
-        // Serial path = stage + apply, so the staged digest fold (and
-        // hence the whole `RunReport`) is byte-identical to the
-        // tick-parallel path at any thread count.
-        let effect = self.stage(now, &event);
-        self.apply(now, event, effect, scheduler);
+        self.apply(now, event, (), scheduler);
     }
 
     fn event_label(event: &Event) -> &'static str {
         match event {
             Event::Workload(_) => "workload",
-            // Deliveries are the parallel-staged digest events; split
-            // the label by traffic class so telemetry and racecheck
-            // findings name the actual wire protocol involved.
+            // Split deliveries by traffic class so telemetry and
+            // racecheck findings name the actual wire protocol involved.
             Event::Deliver { msg, .. } => match msg_class(msg) {
                 MsgClass::Email => "deliver_email",
                 MsgClass::Bank => "deliver_bank",
@@ -1320,9 +1293,7 @@ impl World for ZmailWorld {
 }
 
 impl ParallelWorld for ZmailWorld {
-    /// The staged per-event digest: [`NetMsg::digest`] for deliveries,
-    /// [`trace_digest`] for workload sends, zero for periodic events.
-    type Effect = u64;
+    type Effect = ();
 
     /// The exact mutable-state footprint of each event, developed under
     /// the racecheck contract (see `crates/sim/README.md` for the
@@ -1334,12 +1305,12 @@ impl ParallelWorld for ZmailWorld {
     fn footprint(&self, event: &Event, keys: &mut Vec<u64>) {
         match event {
             Event::Workload(index) => {
-                // Stage reads only the immutable trace; apply mutates
-                // the *sender's* ISP (debit, buffer, topup, bank pump —
-                // and for local delivery the credit lands on the same
-                // ISP; cross-ISP credit happens in the receiver's own
-                // Deliver event). Non-compliant senders keep no ledger:
-                // their apply touches nothing in the domain.
+                // Apply mutates the *sender's* ISP (debit, buffer,
+                // topup, bank pump — and for local delivery the credit
+                // lands on the same ISP; cross-ISP credit happens in the
+                // receiver's own Deliver event). Non-compliant senders
+                // keep no ledger: their apply touches nothing in the
+                // domain.
                 let sender = IspId(self.trace[*index].from.isp);
                 if self.config.is_compliant(sender) {
                     keys.push(isp_key(sender.0));
@@ -1371,22 +1342,15 @@ impl ParallelWorld for ZmailWorld {
         }
     }
 
-    fn stage(&self, _now: SimTime, event: &Event) -> u64 {
-        match event {
-            Event::Workload(index) => trace_digest(&self.trace[*index]),
-            Event::Deliver { msg, .. } => msg.digest(),
-            _ => 0,
-        }
-    }
+    fn stage(&self, _now: SimTime, _event: &Event) {}
 
     fn apply(
         &mut self,
         now: SimTime,
         event: Event,
-        effect: u64,
+        _effect: (),
         scheduler: &mut Scheduler<'_, Event>,
     ) {
-        self.report.digest_checksum = self.report.digest_checksum.wrapping_add(effect);
         self.apply_ctx = None;
         match event {
             Event::Workload(index) => {
@@ -1495,27 +1459,21 @@ impl ParallelWorld for ZmailWorld {
 }
 
 impl RecordedWorld for ZmailWorld {
-    fn recorded_stage(&self, now: SimTime, event: &Event, _rec: &mut AccessRecorder) -> u64 {
-        // Stage phases read only immutable run inputs (the workload
-        // trace, the message being delivered) — nothing in the mutable
-        // footprint domain — so there is nothing to record. SIM001
-        // holds vacuously, which is exactly what makes every batch
-        // selection safe for this world.
-        self.stage(now, event)
-    }
+    // The stage is empty, so it reads nothing to record.
+    fn recorded_stage(&self, _now: SimTime, _event: &Event, _rec: &mut AccessRecorder) {}
 
     fn recorded_apply(
         &mut self,
         now: SimTime,
         event: Event,
-        effect: u64,
+        _effect: (),
         scheduler: &mut Scheduler<'_, Event>,
         rec: &mut AccessRecorder,
     ) {
         // Swap the armed recorder in so every instrumented mutation
         // site above reports through it, then hand it back.
         std::mem::swap(&mut self.recorder, rec);
-        self.apply(now, event, effect, scheduler);
+        self.apply(now, event, (), scheduler);
         std::mem::swap(&mut self.recorder, rec);
     }
 }
@@ -1715,12 +1673,12 @@ impl ZmailSystem {
     }
 
     /// Runs a workload trace like [`ZmailSystem::run_trace`], but on the
-    /// tick-parallel engine path: within each tick, footprint-independent
-    /// events' stage phases (message digests) execute on up to `threads`
-    /// worker threads (`0` = all cores), and all applies run serially in
-    /// FIFO order. The resulting [`RunReport`] — including
-    /// [`RunReport::digest_checksum`] — is byte-identical to a serial run
-    /// of the same seed at any thread count.
+    /// tick-parallel engine path: each tick is batched by footprint and
+    /// every apply runs serially in FIFO order. This world's stage phase
+    /// is empty, so `threads` (`0` = all cores) changes only how the
+    /// engine batches, never the result: the [`RunReport`] is
+    /// byte-identical to a serial run of the same seed at any thread
+    /// count.
     pub fn run_trace_parallel(&mut self, trace: &[SendEvent], threads: usize) -> RunReport {
         self.seed_trace(trace);
         self.sim.run_parallel_to_completion(threads);
@@ -2489,7 +2447,6 @@ mod tests {
         let trace = TrafficGenerator::new(traffic(3, 10, 2)).generate(&mut Sampler::new(19));
         let mut serial = ZmailSystem::new(ZmailConfig::builder(3, 10).build(), 19);
         let reference = serial.run_trace(&trace);
-        assert_ne!(reference.digest_checksum, 0, "digests must fold in");
         for threads in [1usize, 2, 4, 8] {
             let mut system = ZmailSystem::new(ZmailConfig::builder(3, 10).build(), 19);
             let report = system.run_trace_parallel(&trace, threads);
@@ -2541,8 +2498,8 @@ mod tests {
         assert!(checked > 0);
         assert_eq!(disarmed.racecheck_report().events_checked, 0);
         assert_eq!(
-            system.report().digest_checksum,
-            disarmed.report().digest_checksum,
+            system.report(),
+            disarmed.report(),
             "checking is observation, never behaviour"
         );
     }
@@ -2754,7 +2711,7 @@ mod tests {
         let (serial, base) = run_recorded(config(), traffic(3, 10, 2), 42, 1);
         for threads in [2, 4, 8] {
             let (parallel, report) = run_recorded(config(), traffic(3, 10, 2), 42, threads);
-            assert_eq!(base.digest_checksum, report.digest_checksum);
+            assert_eq!(base, report);
             assert_eq!(
                 serial.spans, parallel.spans,
                 "span stream diverged at {threads} threads"
@@ -2770,15 +2727,7 @@ mod tests {
         let mut bare = ZmailSystem::new(config(), 43);
         let bare_report = bare.run_trace(&trace);
         let (_, recorded_report) = run_recorded(config(), t(), 43, 1);
-        assert_eq!(bare_report.digest_checksum, recorded_report.digest_checksum);
-        assert_eq!(
-            bare_report.delivered_total(),
-            recorded_report.delivered_total()
-        );
-        assert_eq!(
-            bare_report.network_messages,
-            recorded_report.network_messages
-        );
+        assert_eq!(bare_report, recorded_report);
     }
 
     #[test]

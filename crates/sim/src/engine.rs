@@ -84,8 +84,11 @@ pub trait ParallelWorld: World {
     /// key is unsound.
     fn footprint(&self, event: &Self::Event, keys: &mut Vec<u64>);
 
-    /// The parallelizable part: compute everything derivable from
-    /// immutable world state (digests, signature checks, routing).
+    /// The parallelizable part: compute anything derivable from
+    /// immutable world state, for `apply` to consume. Neither production
+    /// world has such work (`ZmailWorld` and `MassiveWorld` both stage
+    /// nothing, with `Effect = ()`); the hook is exercised by this
+    /// crate's test worlds.
     fn stage(&self, now: SimTime, event: &Self::Event) -> Self::Effect;
 
     /// The serial part: mutate the world with the staged effect,

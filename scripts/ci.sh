@@ -37,9 +37,10 @@ if grep -rqE '\bTcpMailServer\b|\bTracer\b|trace_json_lines' crates src tests ex
   exit 1
 fi
 
-echo "== one §4.1 guard, one massive run path (the deleted duplicates stay deleted)"
-if grep -rqE '\brun_massive_traced\b|\bdigest_rounds\b' crates src tests examples; then
-  grep -rnE '\brun_massive_traced\b|\bdigest_rounds\b' crates src tests examples
+echo "== one §4.1 guard, one massive run path, no synthetic digest stage, one histogram (the deleted duplicates stay deleted)"
+deleted='\brun_massive_traced\b|\bdigest_rounds\b|\bdigest_checksum\b|\btrace_digest\b|\bTimeSeries\b'
+if grep -rqE "$deleted" crates src tests examples; then
+  grep -rnE "$deleted" crates src tests examples
   exit 1
 fi
 
@@ -48,6 +49,9 @@ cargo test -q --release -p zmail-bench --test determinism
 
 echo "== fault scenarios (randomized plans over fixed seeds, shrinker)"
 cargo test -q --release -p zmail --test fault_scenarios
+
+echo "== bank recovery (E15: every superseded-reply run at 10 x 1,000 balances)"
+cargo run --release -q -p zmail-bench --bin e15_bank_recovery | grep "^shape: HOLDS"
 
 echo "== property suites (crypto envelopes/nonces, SMTP grammar)"
 cargo test -q --release -p zmail-crypto --test properties

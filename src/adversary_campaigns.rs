@@ -14,8 +14,8 @@
 //!   [`CAMPAIGN_SEEDS`], running one [`Scenario::adversarial`] per cell
 //!   and judging it with [`judge`]. Every cell must come back
 //!   [`AttackRun::held`], and every run must replay byte-identically
-//!   (same seed → same [`zmail_core::RunReport`], digest checksum
-//!   included).
+//!   (same seed → the same [`zmail_core::RunReport`], every field
+//!   equal).
 //! * [`weakness_self_test`] is the campaign auditing *itself*: it
 //!   deliberately weakens one verifier check
 //!   ([`AttestWeakness`]), asserts the
@@ -62,7 +62,7 @@ pub struct AttackRun {
     /// (ring runs only; vacuously false elsewhere).
     pub attributed: bool,
     /// Rerunning the scenario reproduced the identical
-    /// [`zmail_core::RunReport`], digest checksum included.
+    /// [`zmail_core::RunReport`], every field equal.
     pub replay_identical: bool,
     /// Violations the scenario found (the *expected* detection signal
     /// for ring runs; must be empty for refused-on-arrival classes).

@@ -8,7 +8,7 @@
 //!    was detected (conservation / §4.4) and — for collusion —
 //!    attributed to the right pair,
 //! 3. the run replays byte-identically from its seed
-//!    ([`zmail_core::RunReport`] equality, digest checksum included).
+//!    ([`zmail_core::RunReport`] equality, every field).
 //!
 //! These are the frozen anchors of `zmail::adversary_campaigns`; the
 //! randomized sweep lives in the E20 experiment and the campaign smoke

@@ -241,3 +241,54 @@ fn structural_faults_are_observed_and_survived() {
     assert_eq!(outcome.counters.partitions_opened, 1);
     assert_eq!(outcome.counters.partitions_closed, 1);
 }
+
+#[test]
+fn superseded_bank_replies_are_stranded_not_lost() {
+    // Ten ISPs of 1,000 users on low balances run enough bank exchanges
+    // that a fresh-nonce retry sometimes fires while the original reply
+    // is still in flight, with no fault configured. The late reply is
+    // stale: the bank issued (or retired) its value, but no pool will
+    // take it. The audit must count that value as stranded.
+    use zmail::core::{IspId, ZmailConfig, ZmailSystem};
+    use zmail::econ::EPennies;
+    use zmail::sim::workload::{TrafficConfig, TrafficGenerator};
+    use zmail::sim::Sampler;
+
+    let (isps, users) = (10, 1_000);
+    let traffic = TrafficConfig {
+        isps,
+        users_per_isp: users,
+        horizon: SimDuration::from_days(2),
+        personal_per_user_day: 12.0,
+        ..TrafficConfig::default()
+    };
+    let mut stale_total = 0;
+    for seed in [1, 3, 6] {
+        let trace = TrafficGenerator::new(traffic.clone()).generate(&mut Sampler::new(seed));
+        for threads in [None, Some(2)] {
+            let config = ZmailConfig::builder(isps, users)
+                .bank_retry(Some(SimDuration::from_mins(1)))
+                .initial_balance(EPennies(20))
+                .avail_bounds(EPennies(100), EPennies(300), EPennies(150))
+                .build();
+            let mut system = ZmailSystem::new(config, seed);
+            match threads {
+                None => system.run_trace(&trace),
+                Some(n) => system.run_trace_parallel(&trace, n),
+            };
+            let stale: u64 = (0..isps)
+                .map(|i| system.isp(IspId(i)).stats().stale_replies)
+                .sum();
+            assert_eq!(
+                system.audit(),
+                Ok(()),
+                "seed {seed}, threads {threads:?}: {stale} stale replies"
+            );
+            if stale > 0 {
+                assert!(system.pennies_stranded() > 0, "seed {seed}");
+            }
+            stale_total += stale;
+        }
+    }
+    assert!(stale_total > 0, "no reply was ever superseded");
+}

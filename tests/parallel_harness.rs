@@ -32,9 +32,6 @@ fn parallel_outcomes_are_byte_identical_across_thread_counts() {
                 "seed {seed}: violations diverged at {threads} threads"
             );
         }
-        // The staged digest work actually happened: a run with traffic
-        // never folds to the zero checksum.
-        assert_ne!(reference.report.digest_checksum, 0, "seed {seed}");
     }
 }
 
